@@ -499,12 +499,12 @@ def cmd_serve(args) -> int:
         service, host=args.host, port=args.port, watchdog=watchdog
     )
     host, port = runner.start()
-    print(f"serving {args.db or '<in-memory>'} [{args.server}] on "
-          f"{host}:{port} "
-          f"(group commit {'off' if args.no_group_commit else 'on'}, "
-          f"cap {args.group_cap}"
-          f"{', lock-order watchdog on' if watchdog else ''})")
-    try:
+    try:  # clients may send SIGINT the moment they read the serving line
+        print(f"serving {args.db or '<in-memory>'} [{args.server}] on "
+              f"{host}:{port} "
+              f"(group commit {'off' if args.no_group_commit else 'on'}, "
+              f"cap {args.group_cap}"
+              f"{', lock-order watchdog on' if watchdog else ''})")
         if args.smoke:
             summary = run_concurrent_clients(
                 host, port, clients=args.smoke, units=args.units
@@ -536,11 +536,11 @@ def cmd_serve(args) -> int:
                     print("watchdog: FAILED", file=sys.stderr)
                     return 1
             return 0
-        try:
-            threading.Event().wait()
-        except KeyboardInterrupt:
-            print("shutting down")
-        return 0
+        threading.Event().wait()
+    except KeyboardInterrupt:
+        if args.smoke:
+            raise  # an interrupted smoke run has no verdict to report
+        print("shutting down")
     finally:
         runner.stop()
         stop_sampling.set()
@@ -551,6 +551,7 @@ def cmd_serve(args) -> int:
         if trace_sink:
             trace_sink.close()
         sm.close()
+    return 0
 
 
 def cmd_monitor(args) -> int:

@@ -138,9 +138,9 @@ class PagedStorageManager(StorageManager):
         self._closed = False
         self._in_txn = False
         # Undo journal for abort: old directory entries (or _ABSENT for
-        # oids created in the txn) plus small-state copies.  A journal
-        # instead of a full metadata snapshot keeps begin() O(changes),
-        # not O(database) — essential for the per-transaction stream.
+        # oids created in the txn), small-state copies and the segments
+        # changed so far.  A journal instead of a metadata snapshot keeps
+        # begin() O(changes), not O(database) — essential for the stream.
         self._undo_dir: dict[int, object] | None = None
         self._undo_small: dict | None = None
 
@@ -276,6 +276,7 @@ class PagedStorageManager(StorageManager):
 
     def _new_page(self, segment: Segment) -> Page:
         page = Page(self._page_alloc.allocate(), segment.segment_id)
+        self._journal_segment(segment)
         segment.add_page(page.page_id)
         self._page_segments[page.page_id] = segment
         self._pool.admit_new(page)
@@ -287,6 +288,8 @@ class PagedStorageManager(StorageManager):
         )
         self._segments[name] = segment
         self._segment_by_id[segment.segment_id] = segment
+        if self._in_txn:  # abort removes it again
+            self._undo_small["segments"][name] = None  # type: ignore[index]
         return segment
 
     def _check_open(self) -> None:
@@ -333,6 +336,7 @@ class PagedStorageManager(StorageManager):
             if page.fits(charged):
                 slot = page.insert(payload, charged)
                 return page_id, slot
+            self._journal_segment(segment)
             segment.drop_candidate(page_id)
         page = self._new_page(segment)
         slot = page.insert(payload, charged)
@@ -372,6 +376,7 @@ class PagedStorageManager(StorageManager):
             page = self._pool.fetch(page_id)
             page.delete(slot)
             segment = self._segment_by_id[page.segment_id]
+            self._journal_segment(segment)
             segment.note_free_space(page_id, page.free_bytes)
 
     def _entry(self, oid: int) -> object:
@@ -483,7 +488,7 @@ class PagedStorageManager(StorageManager):
             "roots": dict(self._roots),
             "oid_high": self._oid_alloc.high_water,
             "page_high": self._page_alloc.high_water,
-            "segments": [seg.to_meta() for seg in self._segments.values()],
+            "segments": {},  # name -> (page count, free candidates)
         }
         self._in_txn = True
         self._begin_caches()
@@ -492,6 +497,16 @@ class PagedStorageManager(StorageManager):
         """Record an oid's pre-transaction directory entry, once."""
         if self._in_txn and oid not in self._undo_dir:  # type: ignore[operator]
             self._undo_dir[oid] = self._directory.get(oid, _ABSENT)  # type: ignore[index]
+
+    def _journal_segment(self, segment: Segment) -> None:
+        """Record a segment's pre-transaction state before its first change.
+
+        Its page list only grows inside a transaction (recover() refuses
+        to run in one), so the length is all abort needs to restore it.
+        """
+        journal = self._undo_small["segments"] if self._in_txn else None  # type: ignore[index]
+        if journal is not None and segment.name not in journal:
+            journal[segment.name] = (segment.page_count, set(segment.free_candidates))
 
     def commit(self) -> None:
         """Flush dirty pages (durability of data pages).
@@ -536,12 +551,14 @@ class PagedStorageManager(StorageManager):
         self._roots = self._undo_small["roots"]
         self._oid_alloc = OidAllocator(start=self._undo_small["oid_high"])
         self._page_alloc = OidAllocator(start=self._undo_small["page_high"])
-        self._segments = {}
-        self._segment_by_id = {}
-        for seg_meta in self._undo_small["segments"]:
-            segment = Segment.from_meta(seg_meta)
-            self._segments[segment.name] = segment
-            self._segment_by_id[segment.segment_id] = segment
+        for name, undo in self._undo_small["segments"].items():
+            segment = self._segments[name]
+            if undo is None:  # created in the transaction
+                del self._segments[name]
+                del self._segment_by_id[segment.segment_id]
+            else:
+                del segment.page_ids[undo[0]:]
+                segment.free_candidates = undo[1]
         self._index_pages()
         self._undo_dir = None
         self._undo_small = None
@@ -703,6 +720,8 @@ class PagedStorageManager(StorageManager):
         "vacuumed_slots": ...}``.  After recover(), ``verify`` passes.
         """
         self._check_open()
+        if self._in_txn:
+            raise TransactionError("recover inside an open transaction")
         # Torn pages first: an interrupted write left garbage that every
         # later phase (directory probing, vacuum) would trip over.  The
         # page's contents are unrecoverable — discard it back to a hole
@@ -795,6 +814,7 @@ class PagedStorageManager(StorageManager):
                 for slot in list(page.slots()):
                     if (page_id, slot) not in referenced:
                         page.delete(slot)
+                        self._journal_segment(segment)
                         segment.note_free_space(page_id, page.free_bytes)
                         freed += 1
         return freed

@@ -8,9 +8,13 @@ so OS page faults measured locality of reference; see
 
 Replacement is LRU over *clean* pages only (a no-steal policy): dirty
 pages hold uncommitted data, and flushing them before commit would break
-abort.  If every resident page is dirty the pool temporarily grows past
-its capacity and records the overflow, which the buffer-sweep ablation
-(A2) reports.
+abort.  The victim is the oldest resident page that is clean and is not
+the page just touched, found by walking the LRU order from its old end.
+Every page that walk passes over is dirty, and only pages written since
+the last flush are dirty (every commit flushes), so an eviction inspects
+at most the open transaction's dirty pages plus one.  If every resident
+page is dirty the pool temporarily grows past its capacity and records
+the overflow, which the buffer-sweep ablation (A2) reports.
 
 Read-ahead
 ----------
@@ -41,10 +45,11 @@ Vectored flush
 ``flush_dirty`` selects pages from an eagerly-maintained dirty set (the
 ``Page.dirty`` setter notifies the pool via a listener), sorts *only
 those*, and coalesces contiguous page-id runs into single ``write_pages``
-transfers.  Write order is still ascending page-id order page for page,
-so deterministic fault injection (crash after the Nth write) and on-disk
-bytes are unchanged — batching alters how many transfers carry the
-pages, never what lands.
+transfers.  It touches only the pages it writes, so a commit costs
+O(dirty pages), however many pages are resident.  Write order is still
+ascending page-id order page for page, so deterministic fault injection
+(crash after the Nth write) and on-disk bytes are unchanged — batching
+alters how many transfers carry the pages, never what lands.
 """
 
 from __future__ import annotations
@@ -105,15 +110,6 @@ class BufferPool:
         self._readahead = readahead_pages
         self._prefetch_run = prefetch_run
         self._pages: OrderedDict[int, Page] = OrderedDict()
-        # Clean-page candidates in the same LRU order as _pages, so an
-        # eviction pops the victim in O(1) instead of scanning every
-        # resident page.  Page.dirty is flipped by Page mutators outside
-        # the pool, so entries can go stale (page dirtied after being
-        # listed); _clean_lru_victim discards stale entries lazily, and
-        # flush_dirty (the only event that makes pages clean in bulk)
-        # rebuilds the list.  Invariant: every clean resident page is
-        # listed; listed pages are merely *candidates*.
-        self._clean: OrderedDict[int, None] = OrderedDict()
         # Dirty-page candidates, fed by the Page.dirty listener installed
         # at admission.  Entries can be stale the other way (page dropped
         # or cleaned behind the pool's back); flush validates each, so a
@@ -134,8 +130,6 @@ class BufferPool:
         page = self._pages.get(page_id)
         if page is not None:
             self._pages.move_to_end(page_id)
-            if page_id in self._clean:
-                self._clean.move_to_end(page_id)
             self._stats.buffer_hits += 1
             return page
         raw = self._staged.pop(page_id, None)
@@ -180,10 +174,6 @@ class BufferPool:
         self._pages.move_to_end(page.page_id)
         if page.dirty:
             self._dirty.add(page.page_id)
-            self._clean.pop(page.page_id, None)
-        else:
-            self._clean[page.page_id] = None
-            self._clean.move_to_end(page.page_id)
         self._evict_if_needed()
 
     def _note_dirty(self, page_id: int) -> None:
@@ -191,42 +181,20 @@ class BufferPool:
         self._dirty.add(page_id)
 
     def _evict_if_needed(self) -> None:
+        """Evict the oldest clean pages, never the one just touched."""
         while len(self._pages) > self.capacity_pages:
-            victim_id = self._clean_lru_victim()
+            newest = next(reversed(self._pages))
+            victim_id = next(
+                (pid for pid, page in self._pages.items()  # oldest first
+                 if not page.dirty and pid != newest),
+                None,
+            )
             if victim_id is None:
                 # All pages dirty: no-steal policy forbids eviction.
                 overflow = len(self._pages) - self.capacity_pages
                 self.overflow_high_water = max(self.overflow_high_water, overflow)
                 return
             del self._pages[victim_id]
-
-    def _clean_lru_victim(self) -> int | None:
-        """Oldest genuinely-clean page, never the one just touched.
-
-        Pops candidates off the clean list oldest-first, discarding
-        stale entries (pages dirtied or dropped since listing) as it
-        goes — each stale entry is paid for once, so eviction cost is
-        amortised O(1) rather than a scan of every resident page.
-        """
-        newest = next(reversed(self._pages), None)
-        skipped_newest = None
-        victim = None
-        while self._clean:
-            page_id, _ = self._clean.popitem(last=False)  # oldest first
-            page = self._pages.get(page_id)
-            if page is None or page.dirty:
-                continue  # stale entry
-            if page_id == newest:
-                skipped_newest = page_id  # never evict the just-touched page
-                continue
-            victim = page_id
-            break
-        if skipped_newest is not None:
-            # Still clean and resident: put it back where it was (the
-            # front — everything once ahead of it was consumed above).
-            self._clean[skipped_newest] = None
-            self._clean.move_to_end(skipped_newest, last=False)
-        return victim
 
     # -- read-ahead -------------------------------------------------------------
 
@@ -314,9 +282,6 @@ class BufferPool:
             for page in run:
                 page.dirty = False
         self._stats.page_writes += len(written_ids)
-        # Everything resident is clean now; rebuild the candidate list in
-        # _pages (LRU) order, dropping stale entries in one pass.
-        self._clean = OrderedDict((page_id, None) for page_id in self._pages)
         self._evict_if_needed()
         return len(written_ids)
 
@@ -345,14 +310,12 @@ class BufferPool:
     def drop(self, page_id: int) -> None:
         """Remove one page from the pool if resident (page deallocated)."""
         self._pages.pop(page_id, None)
-        self._clean.pop(page_id, None)
         self._dirty.discard(page_id)
         self._staged.pop(page_id, None)
 
     def clear(self) -> None:
         """Empty the pool (dirty pages are lost; call flush_dirty first)."""
         self._pages.clear()
-        self._clean.clear()
         self._dirty.clear()
         self._staged.clear()
         self._last_fault = None

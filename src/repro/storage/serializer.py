@@ -21,6 +21,8 @@ import pickle
 from repro.errors import StorageError
 
 _PLAIN_SCALARS = (type(None), bool, int, float, str, bytes)
+#: The scalar types themselves, for the container fast path below.
+_EXACT_SCALARS = frozenset(_PLAIN_SCALARS)
 
 
 def validate_plain_data(obj: object, _depth: int = 0) -> None:
@@ -43,16 +45,29 @@ def validate_plain_data(obj: object, _depth: int = 0) -> None:
 
     Depth is bounded to catch pathological self-referencing structures
     before pickle recurses into them.
+
+    Below the depth bound, a container whose items (a dict's keys and
+    values) all have *exact* scalar types passes one C-level type check;
+    any other item (a subclass, a container, a non-plain object) sends
+    it down the item-by-item walk, which alone decides rejections.
     """
     if _depth > 100:
         raise StorageError("record nests deeper than 100 levels (cycle?)")
     if isinstance(obj, _PLAIN_SCALARS):
         return
     if isinstance(obj, (list, tuple, set, frozenset)):
+        if _depth < 100 and _EXACT_SCALARS.issuperset(map(type, obj)):
+            return
         for item in obj:
             validate_plain_data(item, _depth + 1)
         return
     if isinstance(obj, dict):
+        if (
+            _depth < 100
+            and _EXACT_SCALARS.issuperset(map(type, obj))
+            and _EXACT_SCALARS.issuperset(map(type, obj.values()))
+        ):
+            return
         for key, value in obj.items():
             validate_plain_data(key, _depth + 1)
             validate_plain_data(value, _depth + 1)

@@ -274,3 +274,42 @@ def test_serve_smoke_persists_database(tmp_path, capsys):
     assert main(["verify", db_path]) == 0
     out = capsys.readouterr().out
     assert "OK" in out
+
+
+def test_serve_interrupt_right_after_serving_line_stops_cleanly(
+    tmp_path, monkeypatch
+):
+    """SIGINT lands the moment the serving line is written — exactly when
+    a client that waits for the line sends it.  The server must still
+    shut down and exit 0 instead of dying with a traceback."""
+    import io
+    import re
+    import socket
+    import sys
+
+    class _InterruptAfterServingLine(io.StringIO):
+        fired = False
+
+        def write(self, text):
+            written = super().write(text)
+            if (not self.fired and "\n" in text
+                    and self.getvalue().startswith("serving ")):
+                self.fired = True
+                raise KeyboardInterrupt
+            return written
+
+    out = _InterruptAfterServingLine()
+    monkeypatch.setattr(sys, "stdout", out)
+    db_path = str(tmp_path / "served.pages")
+    try:
+        status = main(["serve", db_path])
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped serve")
+    monkeypatch.undo()
+    assert status == 0
+    assert out.fired
+    assert "shutting down" in out.getvalue()
+    host, port = re.search(r" on ([\d.]+):(\d+) ", out.getvalue()).groups()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection((host, int(port)), timeout=2.0).close()
+    assert main(["verify", db_path]) == 0

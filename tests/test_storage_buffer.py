@@ -1,5 +1,7 @@
 """Unit tests for the buffer pool: LRU, faults, no-steal."""
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.storage.buffer import BufferPool
@@ -135,61 +137,171 @@ def test_clear_empties_pool():
     assert pool.resident_pages == 0
 
 
-class _ScanPool(BufferPool):
-    """Reference implementation: the pre-index O(n) victim scan.
+class _FreshDisk:
+    """Fake disk whose loads are always clean, fresh page objects."""
 
-    The clean-page index must make evictions cheaper without changing a
-    single choice; this subclass preserves everything except the scan.
+    def __init__(self):
+        self.flushes: list[int] = []
+
+    def load(self, page_id: int) -> Page:
+        page = Page(page_id, 0)
+        page.dirty = False
+        return page
+
+    def flush(self, page: Page) -> None:
+        self.flushes.append(page.page_id)
+
+
+class _LruModel:
+    """Independent oracle: the replacement policy as a plain LRU list.
+
+    Oldest first; the victim is the first clean page that is not the
+    newest; when no page qualifies the pool overflows instead.
     """
 
-    def _clean_lru_victim(self):
-        newest = next(reversed(self._pages), None)
-        for page_id, page in self._pages.items():  # oldest first
-            if page_id == newest:
-                continue
-            if not page.dirty:
-                return page_id
-        return None
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.order: list[int] = []
+        self.dirty: set[int] = set()
+        self.evicted: list[int] = []
+        self.flushes: list[int] = []
+        self.overflow_high_water = 0
+
+    def _evict(self) -> None:
+        while len(self.order) > self.capacity:
+            victims = [pid for pid in self.order[:-1] if pid not in self.dirty]
+            if not victims:
+                overflow = len(self.order) - self.capacity
+                self.overflow_high_water = max(self.overflow_high_water, overflow)
+                return
+            self.order.remove(victims[0])
+            self.evicted.append(victims[0])
+
+    def fetch(self, page_id: int) -> None:
+        if page_id in self.order:
+            self.order.remove(page_id)
+            self.order.append(page_id)
+            return
+        self.order.append(page_id)  # loads are clean
+        self._evict()
+
+    def admit_new(self, page_id: int) -> None:
+        self.order.append(page_id)
+        self.dirty.add(page_id)  # fresh pages are born dirty
+        self._evict()
+
+    def flush_dirty(self) -> int:
+        written = sorted(self.dirty)
+        self.flushes.extend(written)
+        self.dirty.clear()
+        self._evict()
+        return len(written)
+
+    def drop(self, page_id: int) -> None:
+        if page_id in self.order:
+            self.order.remove(page_id)
+        self.dirty.discard(page_id)
+
+    def drop_dirty(self) -> int:
+        dropped = len(self.dirty)
+        self.order = [pid for pid in self.order if pid not in self.dirty]
+        self.dirty.clear()
+        return dropped
 
 
 def test_victim_index_matches_reference_scan():
-    """Randomized op stream: residency, eviction order and overflow
-    accounting must be identical to the brute-force reference."""
+    """Randomized op stream against the LRU-list model: residency,
+    eviction order and overflow accounting must be identical."""
     import random
 
     rng = random.Random(20260806)
-    pool_disk, ref_disk = _Disk(), _Disk()
-    pool = BufferPool(4, pool_disk.load, pool_disk.flush, StorageStats())
-    ref = _ScanPool(4, ref_disk.load, ref_disk.flush, StorageStats())
+    disk = _FreshDisk()
+    pool = BufferPool(4, disk.load, disk.flush, StorageStats())
+    model = _LruModel(4)
+    evicted: list[int] = []
 
     for step in range(2000):
         action = rng.random()
         page_id = rng.randrange(12)
+        resident = pool.resident_ids()
+        dropping = False
         if action < 0.55:
-            a = pool.fetch(page_id)
-            b = ref.fetch(page_id)
+            page = pool.fetch(page_id)
+            model.fetch(page_id)
             if rng.random() < 0.4:
-                # Page mutators flip dirty outside the pool's sight —
-                # exactly the staleness the lazy index must absorb.
-                a.dirty = True
-                b.dirty = True
+                page.dirty = True  # a mutator, outside the pool's sight
+                model.dirty.add(page_id)
         elif action < 0.75:
-            page = Page(100 + step, 0)  # fresh pages are born dirty
-            twin = Page(100 + step, 0)
-            pool.admit_new(page)
-            ref.admit_new(twin)
+            pool.admit_new(Page(100 + step, 0))
+            model.admit_new(100 + step)
         elif action < 0.90:
-            pool.flush_dirty()
-            ref.flush_dirty()
+            assert pool.flush_dirty() == model.flush_dirty()
         elif action < 0.95:
             pool.drop(page_id)
-            ref.drop(page_id)
+            model.drop(page_id)
+            dropping = True
         else:
-            pool.drop_dirty()
-            ref.drop_dirty()
-        assert pool.resident_ids() == ref.resident_ids(), f"diverged at op {step}"
-        assert pool.overflow_high_water == ref.overflow_high_water
-    assert pool_disk.flushes == ref_disk.flushes
+            assert pool.drop_dirty() == model.drop_dirty()
+            dropping = True
+        if not dropping:  # victims leave oldest first
+            now = set(pool.resident_ids())
+            evicted.extend(pid for pid in resident if pid not in now)
+        assert pool.resident_ids() == model.order, f"diverged at op {step}"
+        assert evicted == model.evicted, f"eviction order at op {step}"
+        assert pool.overflow_high_water == model.overflow_high_water
+    assert disk.flushes == model.flushes
+    assert model.evicted and model.overflow_high_water  # both exercised
+
+
+class _CountingPages(OrderedDict):
+    """Spy for the pool's page map: counts every page it hands out."""
+
+    def __init__(self):
+        super().__init__()
+        self.touched = 0
+
+    def get(self, key, default=None):
+        self.touched += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.touched += 1
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.touched += 1
+            yield key
+
+    def items(self):
+        for item in super().items():
+            self.touched += 1
+            yield item
+
+
+def test_commit_and_eviction_work_follows_dirty_pages_not_residency():
+    """One dirty page among 1,000 resident clean ones: the flush and the
+    eviction after it each look at a handful of pages, not the pool."""
+    pool, disk, _stats = _pool(capacity=1000)
+    pool._pages = spy = _CountingPages()
+    for page_id in range(1000):
+        pool.fetch(page_id)
+    oldest = pool.fetch(0)
+    for page_id in range(1, 1000):
+        pool.fetch(page_id)  # page 0 is the LRU end again
+
+    oldest.dirty = True
+    spy.touched = 0
+    assert pool.flush_dirty() == 1
+    assert spy.touched <= 4, spy.touched
+
+    oldest.dirty = True  # the next transaction dirties the LRU end
+    spy.touched = 0
+    pool.fetch(1000)  # a miss: one page must go
+    assert spy.touched <= 4, spy.touched
+    assert pool.is_resident(0) and not pool.is_resident(1)
+    assert pool.resident_pages == 1000
+    assert disk.flushes == [0]
 
 
 class _LegacyFlushPool(BufferPool):
@@ -201,8 +313,6 @@ class _LegacyFlushPool(BufferPool):
     """
 
     def flush_dirty(self):
-        from collections import OrderedDict
-
         written = 0
         for page_id in sorted(self._pages):
             page = self._pages[page_id]
@@ -211,7 +321,6 @@ class _LegacyFlushPool(BufferPool):
                 page.dirty = False
                 written += 1
         self._stats.page_writes += written
-        self._clean = OrderedDict((page_id, None) for page_id in self._pages)
         self._evict_if_needed()
         return written
 

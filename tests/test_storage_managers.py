@@ -378,3 +378,59 @@ def test_unchanged_reopen_close_skips_meta_rewrite(tmp_path):
     reopened.close()  # nothing changed: the blob must not be rewritten
     assert os.path.getmtime(meta_path) == mtime
     assert reopened.stats.meta_bytes_written == 0
+
+
+def test_abort_restores_every_segment_changed_in_the_transaction(tmp_path):
+    """begin() copies no segment state; each segment is journaled on its
+    first change.  Abort must still restore all of them: pages allocated
+    in two segments, space freed in a third, and a segment created
+    inside the transaction removed again."""
+    sm = ObjectStoreSM(path=str(tmp_path / "undo.db"), buffer_pages=64)
+    for name in ("a", "b", "c"):
+        sm.create_segment(name)
+    doomed = [sm.allocate_write({"c": i, "pad": "c" * 600}, segment="c")
+              for i in range(12)]
+    sm.commit()
+    before = [seg.to_meta() for seg in sm.segments()]
+
+    sm.begin()
+    for i in range(30):
+        sm.allocate_write({"a": i, "pad": "a" * 600}, segment="a")
+        sm.allocate_write({"b": i, "pad": "b" * 600}, segment="b")
+    for oid in doomed[:6]:
+        sm.delete(oid)
+    sm.create_segment("new")
+    sm.allocate_write({"new": 1}, segment="new")
+    during = {seg["name"]: seg for seg in (s.to_meta() for s in sm.segments())}
+    old = {seg["name"]: seg for seg in before}
+    for name in ("a", "b"):
+        assert len(during[name]["page_ids"]) > len(old[name]["page_ids"])
+    assert during["c"]["free_candidates"] != old["c"]["free_candidates"]
+    sm.abort()
+
+    assert [seg.to_meta() for seg in sm.segments()] == before
+    assert "new" not in sm.segment_names()
+    for oid in doomed:
+        assert sm.read(oid)["pad"] == "c" * 600
+    # The restored state is the one the next transaction builds on.
+    sm.begin()
+    sm.allocate_write({"a": "again"}, segment="a")
+    sm.commit()
+    assert sm.verify().ok
+    sm.close()
+    reopened = ObjectStoreSM(path=str(tmp_path / "undo.db"))
+    assert reopened.verify().ok
+    reopened.close()
+
+
+def test_recover_refuses_an_open_transaction(tmp_path):
+    # recover() checkpoints and may drop pages from segments; inside a
+    # transaction that would persist uncommitted state and break the
+    # grow-only page lists abort relies on.
+    sm = ObjectStoreSM(path=str(tmp_path / "txn.db"))
+    sm.begin()
+    sm.allocate_write({"x": 1})
+    with pytest.raises(TransactionError):
+        sm.recover()
+    sm.abort()
+    sm.close()

@@ -1,5 +1,7 @@
 """Unit + property tests for record serialization."""
 
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -159,3 +161,107 @@ def test_record_size_skips_validation():
     with pytest.raises(StorageError):
         serializer.serialize(unvalidated)
     assert serializer.record_size(unvalidated) > 0
+
+
+# ---------------------------------------------------------------------------
+# the container fast path accepts and rejects exactly what the walk does
+# ---------------------------------------------------------------------------
+
+
+def _reference_validate(obj, _depth=0):
+    """The item-by-item walk ``validate_plain_data`` used to be."""
+    if _depth > 100:
+        raise StorageError("record nests deeper than 100 levels (cycle?)")
+    if isinstance(obj, (type(None), bool, int, float, str, bytes)):
+        return
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        for item in obj:
+            _reference_validate(item, _depth + 1)
+        return
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _reference_validate(key, _depth + 1)
+            _reference_validate(value, _depth + 1)
+        return
+    raise StorageError(f"records must be plain data; got {type(obj).__name__}")
+
+
+def _verdict(validate, obj):
+    try:
+        validate(obj)
+    except StorageError as exc:
+        return str(exc)
+    return None
+
+
+class _Colour(IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+class _Tag(str):
+    pass
+
+
+_mixed_leaf = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=6)
+    | st.binary(max_size=6)
+    | st.sampled_from(list(_Colour))
+    | st.builds(_Tag, st.text(max_size=6))
+    | st.builds(_IntSubclass, st.integers())
+    | st.builds(_NotPlain)
+)
+_mixed_key = st.recursive(
+    _mixed_leaf,
+    lambda children: st.lists(children, max_size=3).map(tuple)
+    | st.frozensets(children, max_size=3),
+    max_leaves=6,
+)
+_mixed = st.recursive(
+    _mixed_leaf,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.sets(_mixed_key, max_size=4)
+    | st.frozensets(_mixed_key, max_size=4)
+    | st.dictionaries(_mixed_key, children, max_size=4),
+    max_leaves=25,
+)
+
+
+def _nest(value, shells):
+    """Wrap ``value`` in one container per shell, innermost first."""
+    for shell in shells:
+        value = {"k": value} if shell == "dict" else shell([value])
+    return value
+
+
+@given(
+    _mixed_leaf | st.lists(_mixed_leaf, max_size=4) | _mixed,
+    st.sampled_from([0, 1, 2, 98, 99, 100, 101]).flatmap(
+        lambda depth: st.lists(
+            st.sampled_from([list, tuple, "dict"]),
+            min_size=depth, max_size=depth,
+        )
+    ),
+)
+def test_validator_matches_reference_walk(value, shells):
+    obj = _nest(value, shells)
+    assert _verdict(serializer.validate_plain_data, obj) == _verdict(
+        _reference_validate, obj
+    )
+
+
+@pytest.mark.parametrize("depth", [99, 100, 101])
+@pytest.mark.parametrize("leaf", [[], [1, "a"], [_Colour.RED], {"k": b""}])
+def test_depth_bound_fires_where_the_walk_puts_it(depth, leaf):
+    obj = _nest(leaf, [list] * (depth - 1))
+    verdict = _verdict(serializer.validate_plain_data, obj)
+    assert verdict == _verdict(_reference_validate, obj)
+    if depth == 101 and leaf:
+        assert verdict is not None and "100 levels" in verdict
+    if depth < 100:
+        assert verdict is None
