@@ -6,7 +6,11 @@ drives an E8-style mix (record_step + set_state + a most_recent read
 per round) through ``LabFlowService`` at 1, 2, 4 and 8 concurrent
 sessions — units interleaved round-robin, each session on its own
 page — with group commit on (group cap = session count) and off (one
-storage commit per update unit).  Reported per setting: wall clock per
+storage commit per update unit).  The store runs the legacy pickle
+codec: the schema-aware codec packs materials so densely that a growing
+material relocates to the segment's shared tail page, which would turn
+the sweep into a lock-contention measurement (the premise is asserted,
+as in tests/test_server.py).  Reported per setting: wall clock per
 update unit, storage commits, mean group width, vectored I/O batches
 and checkpoint bytes per unit.
 
@@ -35,7 +39,16 @@ _ROUNDS = 24
 _SPREAD_FILLERS = 40
 
 
-def _spread_sessions(clients):
+def _open_store(workdir: str) -> ObjectStoreSM:
+    # codec="pickle": the page-per-session spread needs pickle's looser
+    # packing, which leaves each material room to grow in place.
+    return ObjectStoreSM(
+        path=os.path.join(workdir, "db.pages"), checkpoint_every=1,
+        codec="pickle",
+    )
+
+
+def _spread_sessions(sm, clients):
     """One material per session, each on its own page (filler-padded),
     so the sweep measures commit amortization, not page contention."""
     tick = 0
@@ -50,21 +63,21 @@ def _spread_sessions(clients):
         for filler in range(_SPREAD_FILLERS):
             tick += 1
             clients[0].create_material("clone", f"fill-{index}-{filler}", tick)
+    pages = [sm.pages_of(oid)[0] for oid in oids]
+    assert len(set(pages)) == len(pages), "expected one page per session"
     return oids, tick
 
 
 def _run(sessions: int, group: bool) -> dict:
     with tempfile.TemporaryDirectory() as workdir:
-        sm = ObjectStoreSM(
-            path=os.path.join(workdir, "db.pages"), checkpoint_every=1
-        )
+        sm = _open_store(workdir)
         db = LabBase(sm)
         bootstrap_schema(db)
         service = LabFlowService(
             db, group_commit=group, group_cap=sessions, retry_backoff=0.0
         )
         clients = [LocalClient(service, f"c{i}") for i in range(sessions)]
-        oids, tick = _spread_sessions(clients)
+        oids, tick = _spread_sessions(sm, clients)
         service.drain()
 
         before = sm.stats.snapshot()
@@ -99,6 +112,7 @@ def _run(sessions: int, group: bool) -> dict:
         "unit_us": elapsed / units * 1e6,
         "commits": delta["commits"],
         "group_commits": groups,
+        "sessions_per_group": delta["sessions_per_group"],
         "group_width": delta["sessions_per_group"] / groups if groups else 0.0,
         "commit_stalls": delta["commit_stalls"],
         "io_batches": delta["io_batches"],
@@ -182,16 +196,14 @@ def test_a6_emit_table(benchmark, sweep):
 @pytest.mark.parametrize("group", [True, False], ids=["group_on", "group_off"])
 def test_a6_four_session_unit_latency(benchmark, group):
     with tempfile.TemporaryDirectory() as workdir:
-        sm = ObjectStoreSM(
-            path=os.path.join(workdir, "db.pages"), checkpoint_every=1
-        )
+        sm = _open_store(workdir)
         db = LabBase(sm)
         bootstrap_schema(db)
         service = LabFlowService(
             db, group_commit=group, group_cap=4, retry_backoff=0.0
         )
         clients = [LocalClient(service, f"c{i}") for i in range(4)]
-        oids, tick = _spread_sessions(clients)
+        oids, tick = _spread_sessions(sm, clients)
         service.drain()
         state = {"tick": tick, "turn": 0}
 

@@ -67,6 +67,12 @@ CHUNK_PAYLOAD_BYTES = 3800
 #: Journal marker: the oid had no directory entry before the transaction.
 _ABSENT = object()
 
+#: Fewest bytes one directory entry costs in a pickled delta frame (an
+#: oid opcode of at least 2 bytes plus an entry of at least 1): once the
+#: changed-oid set times this outgrows the room left for frames, the
+#: next checkpoint is a full blob whatever else changed.
+_DELTA_ENTRY_MIN_BYTES = 3
+
 
 class PagedStorageManager(StorageManager):
     """Shared implementation for the page-based (persistent) managers."""
@@ -117,7 +123,7 @@ class PagedStorageManager(StorageManager):
         self._chunk_payload_bytes = self._compute_chunk_payload(charge_policy)
         self._readahead_pages = readahead_pages
         self._pages_flushed_since_checkpoint = False
-        self._last_checkpoint_image: bytes | None = None
+        self._dirty_segments: set[str] = set()
         # The manager *owns* its page file: _open_disk is the single
         # place the storage stack opens one, so every write point flows
         # through the injectable disk layer below.  Backends that swap
@@ -174,9 +180,9 @@ class PagedStorageManager(StorageManager):
             # checkpoint never heard of (epoch beyond the blob's).
             self._disk.epoch = self._meta_epoch + 1
             self._open_problems = self._disk.epoch_issues(self._meta_epoch)
-            # The restored state *is* the checkpointed state: a close with
-            # no intervening writes can skip rewriting the blob.
-            self._last_checkpoint_image = self._checkpoint_image()
+        # The restored state *is* the checkpointed state: a close with
+        # no intervening writes can skip rewriting the metadata.
+        self._mark_checkpointed()
         self._index_pages()
 
     def _open_disk(
@@ -209,6 +215,71 @@ class PagedStorageManager(StorageManager):
             "segments": [seg.to_meta() for seg in self._segments.values()],
             "intern": self._codec.intern_names(),
         }
+
+    def _mark_checkpointed(self) -> None:
+        """Reset change tracking: the live metadata is now durable.
+
+        Changed oids are tracked only while a delta frame that carries
+        them could still fit the room the disk layer has left (see
+        ``_DELTA_ENTRY_MIN_BYTES``); past that, or with no metadata on
+        disk yet, the next checkpoint is a full blob.  An empty set with
+        no room (a torn or full tail) still tells a redundant close from
+        one that must write.
+        """
+        self._ckpt_small = (
+            dict(self._roots),
+            self._oid_alloc.high_water,
+            self._page_alloc.high_water,
+            len(self._codec.intern_names()),
+        )
+        self._dirty_segments.clear()
+        self._delta_budget = self._disk.meta_room // _DELTA_ENTRY_MIN_BYTES
+        self._changed_oids: set[int] | None = (
+            set() if self._disk.meta_size_bytes else None
+        )
+
+    def _meta_delta(self) -> dict | None:
+        """What changed since the last checkpoint, as a delta frame.
+
+        Always the epoch and the high-water marks; the directory entries
+        of changed oids in oid order (``None`` for a deleted one); roots,
+        changed segment descriptors and new intern names only when they
+        changed.  Empty when the checkpoint is redundant: nothing but the
+        epoch would change and no flushed page awaits ratification.
+        ``None`` when change tracking was dropped: only a full blob will
+        do.
+        """
+        changed = self._changed_oids
+        if changed is None:
+            return None
+        roots, oid_high, page_high, intern_count = self._ckpt_small
+        delta: dict = {
+            "epoch": self._disk.epoch,
+            "oid_high": self._oid_alloc.high_water,
+            "page_high": self._page_alloc.high_water,
+        }
+        if changed:
+            directory = self._directory
+            delta["directory"] = {oid: directory.get(oid) for oid in sorted(changed)}
+        if self._roots != roots:
+            delta["roots"] = dict(self._roots)
+        segments = [
+            seg.to_meta()
+            for seg in self.segments()
+            if seg.name in self._dirty_segments
+        ]
+        if segments:
+            delta["segments"] = segments
+        names = self._codec.intern_names()
+        if len(names) > intern_count:
+            delta["intern"] = names[intern_count:]
+        if (
+            len(delta) == 3
+            and (oid_high, page_high) == (delta["oid_high"], delta["page_high"])
+            and not self._pages_flushed_since_checkpoint
+        ):
+            return {}
+        return delta
 
     def _restore_meta(self, meta: dict) -> None:
         self._meta_epoch = meta.get("epoch", 0)
@@ -288,6 +359,7 @@ class PagedStorageManager(StorageManager):
         )
         self._segments[name] = segment
         self._segment_by_id[segment.segment_id] = segment
+        self._dirty_segments.add(name)
         if self._in_txn:  # abort removes it again
             self._undo_small["segments"][name] = None  # type: ignore[index]
         return segment
@@ -494,16 +566,30 @@ class PagedStorageManager(StorageManager):
         self._begin_caches()
 
     def _journal_dir(self, oid: int) -> None:
-        """Record an oid's pre-transaction directory entry, once."""
+        """Record an oid's pre-transaction directory entry, once, and
+        note the oid for the next checkpoint's delta frame.
+
+        Every directory change goes through here: allocation, the
+        relocation path of ``write``, and ``delete``.  Abort restores
+        exactly the journaled oids, so they are already noted.
+        """
+        changed = self._changed_oids
+        if changed is not None:
+            changed.add(oid)
+            if len(changed) > self._delta_budget:
+                # A frame could not carry them: write a full blob next.
+                self._changed_oids = None
         if self._in_txn and oid not in self._undo_dir:  # type: ignore[operator]
             self._undo_dir[oid] = self._directory.get(oid, _ABSENT)  # type: ignore[index]
 
     def _journal_segment(self, segment: Segment) -> None:
-        """Record a segment's pre-transaction state before its first change.
+        """Record a segment's pre-transaction state before its first change,
+        and mark it for the next checkpoint's delta frame.
 
         Its page list only grows inside a transaction (recover() refuses
         to run in one), so the length is all abort needs to restore it.
         """
+        self._dirty_segments.add(segment.name)
         journal = self._undo_small["segments"] if self._in_txn else None  # type: ignore[index]
         if journal is not None and segment.name not in journal:
             journal[segment.name] = (segment.page_count, set(segment.free_candidates))
@@ -572,50 +658,51 @@ class PagedStorageManager(StorageManager):
             raise TransactionError("checkpoint inside an open transaction")
         self._flush_all()
 
-    def _flush_all(self) -> None:
+    def _flush_all(self, full: bool = False) -> None:
         self._pool.flush_dirty()
-        self._write_checkpoint()
+        self._write_checkpoint(full)
 
-    def _checkpoint_image(self) -> bytes:
-        """Canonical image of the metadata, epoch excluded.
-
-        The epoch advances with every checkpoint, so comparing raw blobs
-        would never find two equal; everything *else* being unchanged is
-        what makes a checkpoint redundant.
-        """
-        probe = self._meta()
-        probe.pop("epoch", None)
-        return pickle.dumps(probe, protocol=4)
-
-    def _write_checkpoint(self) -> None:
+    def _write_checkpoint(self, full: bool = False) -> None:
         """Persist metadata and advance the commit epoch.
 
-        The blob records the epoch its page images were stamped with;
-        subsequent page writes get the next epoch, so a later crash
-        leaves those pages detectably "from the future" relative to
-        this checkpoint.
+        The metadata records the epoch its page images were stamped
+        with; subsequent page writes get the next epoch, so a later
+        crash leaves those pages detectably "from the future" relative
+        to this checkpoint.
 
-        Redundant checkpoints are skipped: with ``checkpoint_every=1``
-        a read-mostly phase would otherwise re-pickle and rewrite the
-        whole blob — directory, roots, segment maps — every commit.
-        Skipping is only legal when no page was flushed since the last
-        checkpoint either; flushed pages carry the *current* epoch, and
-        a checkpoint must land to ratify it, otherwise a reopen would
-        flag them as from-the-future orphans of a checkpoint that never
-        happened.
+        A checkpoint appends one delta frame (:meth:`_meta_delta`) to
+        the ``.meta`` file.  It writes a full blob instead when the
+        frame would outgrow the base blob (the disk layer refuses it),
+        when change tracking was dropped, and always when ``full`` is
+        set — ``close()`` and ``recover()`` — so a store at rest is one
+        blob.
+
+        Redundant checkpoints are skipped: no changed oid, no changed
+        small state, and no page flushed since the last checkpoint.
+        Flushed pages carry the *current* epoch, and a checkpoint must
+        land to ratify them, otherwise a reopen would flag them as
+        from-the-future orphans of a checkpoint that never happened.  A
+        skipped ``full`` checkpoint still folds a frame tail into one
+        blob, at the unchanged epoch: the state is the same, and crash
+        evidence of pages beyond that epoch stays detectable.
         """
-        image = self._checkpoint_image()
-        if (
-            image == self._last_checkpoint_image
-            and not self._pages_flushed_since_checkpoint
-        ):
+        delta = self._meta_delta()
+        if delta == {}:
+            if full and self._disk.meta_tail_bytes:
+                meta = self._meta()
+                meta["epoch"] = self._meta_epoch
+                self.stats.meta_bytes_written += self._disk.write_meta(meta)
+                self._mark_checkpointed()
             return
-        self.stats.meta_bytes_written += self._disk.write_meta(self._meta())
+        written = 0 if full or delta is None else self._disk.append_meta(delta)
+        if not written:
+            written = self._disk.write_meta(self._meta())
+        self.stats.meta_bytes_written += written
         self._disk.sync()
         self._meta_epoch = self._disk.epoch
         self._disk.epoch += 1
-        self._last_checkpoint_image = image
         self._pages_flushed_since_checkpoint = False
+        self._mark_checkpointed()
 
     @property
     def commit_epoch(self) -> int:
@@ -785,7 +872,7 @@ class PagedStorageManager(StorageManager):
         # redundancy check alone would skip it and the pages would be
         # flagged "from the future" again at the next reopen).
         self._pages_flushed_since_checkpoint = True
-        self._flush_all()
+        self._flush_all(full=True)
         self._open_problems = []
         return {
             "dropped_objects": dropped,
@@ -840,7 +927,7 @@ class PagedStorageManager(StorageManager):
         if self._in_txn:
             raise TransactionError("close() inside an open transaction")
         self._drain_caches()
-        self._flush_all()
+        self._flush_all(full=True)
         # Release pool pages (and any staged read images that may view
         # the disk layer's buffers) before the disk unmaps/closes.
         self._pool.clear()

@@ -8,23 +8,40 @@ and by benchmark configurations that only care about fault counts, not
 real I/O latency.
 
 Metadata (object directory, segment table, roots, allocator high-water
-mark) is persisted on commit as one pickled blob in a ``.meta`` side
-file.  Real persistent stores keep this mapping in swizzled virtual
-addresses (Texas) or internal B-trees (ObjectStore); modelling it as a
-side file keeps both simulated managers identical in this respect while
-still counting the bytes toward database size.
+mark, intern table) is persisted at checkpoints in a ``.meta`` side file.
+Real persistent stores keep this mapping in swizzled virtual addresses
+(Texas) or internal B-trees (ObjectStore); modelling it as a side file
+keeps both simulated managers identical in this respect while still
+counting the bytes toward database size.
+
+The ``.meta`` file is one pickled **base blob** followed by zero or more
+**delta frames**, each ``<u32 length><u32 crc32><pickled delta>``.  A
+frame carries only what one checkpoint changed (see :func:`_replay_delta`
+for its keys), so a checkpoint costs O(change) instead of re-pickling
+the whole directory.  The frames never outgrow the base blob: when the
+next one would, the checkpoint writes a full blob instead (compaction),
+which keeps the amortized cost O(change) with no knob to tune.
+``close()`` and ``recover()`` always write a full blob, so a store at
+rest holds exactly one.
 
 Crash consistency
 -----------------
 
 Two mechanisms make a crash detectable instead of silently corrupting:
 
-* The metadata blob is written atomically (temp file + fsync + rename),
-  so a crash mid-write leaves either the old blob or the new one.
+* The metadata moves forward in atomic steps.  A full blob is written
+  to a temp file, fsync'd and renamed over ``.meta``, so a crash leaves
+  either the old file or the new one.  A delta frame is appended in
+  place and fsync'd; on reopen the frames replay in order up to the
+  first short or CRC-failing frame.  A torn tail is a checkpoint that
+  never happened — the same guarantee the rename gives — and since
+  appending after it would hide every later frame behind it, the next
+  checkpoint writes a full blob instead.  A base blob that does not
+  unpickle fails closed.
 * Every page image carries a 16-byte trailer in its zero-padding:
   a magic marker, the **commit epoch** current when the page was
   written, and a CRC-32 of the page body.  The storage manager stamps
-  the same epoch into the metadata blob at each checkpoint, so on
+  the same epoch into the metadata at each checkpoint, so on
   reopen a page "from the future" (flushed by a commit the checkpoint
   never heard of) or a torn page (checksum mismatch, e.g. half a write)
   is detected — see ``repro.storage.integrity``.
@@ -36,6 +53,7 @@ read back exactly what they wrote, trailer bytes zeroed again.
 
 from __future__ import annotations
 
+import io
 import mmap
 import os
 import pickle
@@ -60,6 +78,37 @@ _EPOCH_CRC = struct.Struct("<QI")
 
 _BODY_BYTES = PAGE_SIZE - PAGE_TRAILER_BYTES
 
+#: Delta frame header: packed (payload length: u32, crc32: u32).
+_FRAME_HEADER = struct.Struct("<II")
+
+
+def _replay_delta(meta: dict, delta: dict) -> None:
+    """Fold one delta frame into a metadata dict, in place.
+
+    ``directory`` maps each changed oid to its new entry, ``None`` for a
+    deleted one; ``segments`` lists the changed segment descriptors,
+    which replace the base's by name (new ones append, keeping segment
+    id order); ``intern`` lists names appended to the intern table.
+    Every other key (epoch, high-water marks, roots) replaces the
+    base's value.
+    """
+    for key, value in delta.items():
+        if key == "directory":
+            directory = meta["directory"]
+            for oid, entry in value.items():
+                if entry is None:
+                    directory.pop(oid, None)
+                else:
+                    directory[oid] = entry
+        elif key == "segments":
+            by_name = {seg["name"]: seg for seg in meta["segments"]}
+            by_name.update((seg["name"], seg) for seg in value)
+            meta["segments"] = list(by_name.values())
+        elif key == "intern":
+            meta["intern"] = list(meta.get("intern", ())) + list(value)
+        else:
+            meta[key] = value
+
 
 class PageFile:
     """Page-granular storage backed by a real file or by memory."""
@@ -69,6 +118,14 @@ class PageFile:
         self._mem: dict[int, bytes] = {}
         self._page_count = 0
         self._file = None
+        #: The .meta layout: base blob bytes, bytes after it (valid
+        #: frames plus any torn garbage), and whether a frame may be
+        #: appended (a base exists and nothing invalid follows it).
+        self._meta_base_bytes = 0
+        self._meta_tail_bytes = 0
+        self._meta_appendable = False
+        self._meta_handle: io.BufferedWriter | None = None
+        self._mem_meta: bytearray | None = None
         #: Commit epoch stamped into the trailer of every page written.
         #: The storage manager advances it at each metadata checkpoint.
         self.epoch = 1
@@ -303,6 +360,9 @@ class PageFile:
             self._file.flush()
 
     def close(self) -> None:
+        if self._meta_handle is not None:
+            self._meta_handle.close()
+            self._meta_handle = None
         if self._file is not None:
             self._file.close()
             self._file = None
@@ -313,66 +373,137 @@ class PageFile:
         return None if self.path is None else self.path + ".meta"
 
     def write_meta(self, meta: dict) -> int:
-        """Persist the metadata blob atomically; returns bytes written.
+        """Persist a full metadata blob atomically; returns bytes written.
 
         The blob is written to a ``.meta.tmp`` side file, fsync'd, then
         renamed over the ``.meta`` file, so a crash at any point leaves
-        either the old blob or the new one — never a truncated blob that
-        would make the store look freshly created (or fail to unpickle)
-        on reopen.
-
-        A blob identical to the last one this handle wrote is skipped
-        (the durable copy is already that blob) and reported as ``0``
-        bytes written — checkpoint-heavy read-mostly periods then cost
-        no metadata I/O.  ``meta_size_bytes`` still reports the blob's
-        size either way.
+        either the old file (base and frames) or the new blob — never a
+        truncated blob that would make the store look freshly created
+        (or fail to unpickle) on reopen.  The new blob has no frames
+        after it, so it resets the append budget to its own size.
         """
         blob = pickle.dumps(meta, protocol=4)
-        self._meta_size = len(blob)
-        if blob == getattr(self, "_last_meta_blob", None):
-            return 0
         meta_path = self._meta_path()
         if meta_path is None:
-            self._mem_meta = blob
+            self._mem_meta = bytearray(blob)
         else:
+            if self._meta_handle is not None:
+                # The handle appends to the inode the rename replaces.
+                self._meta_handle.close()
+                self._meta_handle = None
             tmp_path = meta_path + ".tmp"
             with open(tmp_path, "wb") as handle:
                 handle.write(blob)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_path, meta_path)
-        self._last_meta_blob = blob
+        self._meta_base_bytes = len(blob)
+        self._meta_tail_bytes = 0
+        self._meta_appendable = True
         return len(blob)
 
-    def read_meta(self) -> dict | None:
-        """Load the metadata blob, or None if none was ever written.
+    def append_meta(self, delta: dict) -> int:
+        """Append one delta frame in place; returns bytes written.
 
-        A blob that exists but does not unpickle raises
-        :class:`StorageError` — a damaged store must fail loudly rather
+        The frame is ``<u32 length><u32 crc32><pickled delta>``, written
+        on a handle kept open and fsync'd — no temp file, no rename.
+        Returns ``0`` and writes nothing when the frame must not be
+        appended: no base blob exists yet, bytes that are not a valid
+        frame follow the last one (a torn tail), or the tail plus this
+        frame would outgrow the base blob.  The caller then writes a
+        full blob, which bounds the frames to the base's size and keeps
+        the amortized cost of a checkpoint O(change).
+        """
+        payload = pickle.dumps(delta, protocol=4)
+        frame = _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+        if len(frame) > self.meta_room:
+            return 0
+        self._append_frame(frame)
+        self._meta_tail_bytes += len(frame)
+        return len(frame)
+
+    def _append_frame(self, frame: bytes) -> None:
+        """Backend append of frame bytes to the .meta file, made durable."""
+        if self._mem_meta is not None:
+            self._mem_meta += frame
+            return
+        if self._meta_handle is None:
+            meta_path = self._meta_path()
+            assert meta_path is not None  # memory mode appended above
+            self._meta_handle = open(meta_path, "ab")
+        try:
+            self._meta_handle.write(frame)
+            self._meta_handle.flush()
+            os.fsync(self._meta_handle.fileno())
+        except OSError:
+            # Part of the frame may have landed: never append after it.
+            self._meta_appendable = False
+            raise
+
+    def read_meta(self) -> dict | None:
+        """Load the metadata, or None if none was ever written.
+
+        Unpickles the base blob, then replays the delta frames after it
+        in order (:func:`_replay_delta`), stopping at the first short or
+        CRC-failing frame: a torn tail is a checkpoint that never
+        happened.  Bytes left after the last valid frame make the next
+        checkpoint write a full blob rather than append behind them.
+
+        A base blob that exists but does not unpickle — or a frame whose
+        CRC holds but whose payload does not — raises
+        :class:`StorageError`: a damaged store must fail loudly rather
         than masquerade as a fresh one.
         """
         meta_path = self._meta_path()
         if meta_path is None:
-            blob = getattr(self, "_mem_meta", None)
-            if blob is None:
+            if self._mem_meta is None:
                 return None
+            blob = bytes(self._mem_meta)
         else:
             if not os.path.exists(meta_path):
                 return None
             with open(meta_path, "rb") as handle:
                 blob = handle.read()
+        stream = io.BytesIO(blob)
         try:
-            return pickle.loads(blob)
+            meta = pickle.Unpickler(stream).load()
+            pos = base_end = stream.tell()
+            while pos + _FRAME_HEADER.size <= len(blob):
+                length, crc = _FRAME_HEADER.unpack_from(blob, pos)
+                end = pos + _FRAME_HEADER.size + length
+                payload = blob[pos + _FRAME_HEADER.size:end]
+                if end > len(blob) or zlib.crc32(payload) != crc:
+                    break
+                _replay_delta(meta, pickle.loads(payload))
+                pos = end
         # A half-written or bit-flipped blob raises arbitrary unpickling
         # errors; all of them mean the same thing — corrupt metadata.
         except Exception as exc:  # lint: ignore[LF06]
             raise StorageError(
                 f"{meta_path or '<memory>'}: corrupt metadata blob: {exc}"
             ) from exc
+        self._meta_base_bytes = base_end
+        self._meta_tail_bytes = len(blob) - base_end
+        self._meta_appendable = pos == len(blob)
+        return meta
 
     @property
     def meta_size_bytes(self) -> int:
-        return getattr(self, "_meta_size", 0)
+        """Bytes in the .meta file: base blob plus everything after it."""
+        return self._meta_base_bytes + self._meta_tail_bytes
+
+    @property
+    def meta_tail_bytes(self) -> int:
+        """Bytes after the base blob; 0 means the file is one full blob."""
+        return self._meta_tail_bytes
+
+    @property
+    def meta_room(self) -> int:
+        """Bytes of delta frames that may still be appended before the
+        next checkpoint must write a full blob (0 when none may)."""
+        if not self._meta_appendable:
+            return 0
+        return self._meta_base_bytes - self._meta_tail_bytes
 
 
 #: Pages per map chunk (1024 * 4 KiB = 4 MiB).  A multiple of every

@@ -1,9 +1,10 @@
 """Deterministic fault injection for crash-consistency testing.
 
 A :class:`FaultInjector` counts the disk layer's *write points* — every
-page write and every metadata write — and kills the store at a chosen
-one, optionally leaving a half-written ("torn") image behind, the way a
-real power cut tears a sector-aligned write in two.  Because
+page write, full metadata blob and metadata delta frame — and kills the
+store at a chosen one, optionally leaving a half-written ("torn") page
+or frame behind, the way a real power cut tears a sector-aligned write
+in two.  Because
 ``BufferPool.flush_dirty`` writes in page-id order, the same workload
 always produces the same write sequence, so ``crash_after_writes=N``
 reproduces the exact same crash every run.
@@ -40,7 +41,7 @@ class FaultInjector:
 
     ``crash_after_writes=N`` kills the store at write point N (0-based:
     N=0 dies before any write lands).  ``torn_write`` makes the fatal
-    page write leave a half-new half-old image instead of nothing.
+    page write or delta frame land its first half instead of nothing.
     ``None`` never crashes; ``writes_seen`` then reports the workload's
     total write points.
     """
@@ -72,14 +73,16 @@ class FaultInjector:
 class FaultyPageFile(PageFile):
     """A :class:`PageFile` that dies on schedule.
 
-    Page writes and metadata writes are both write points.  A fatal
-    *page* write either loses the image entirely or — in torn mode —
-    lands the first :data:`TORN_WRITE_BYTES` of the newly stamped image
-    over the old page, producing a checksum mismatch the integrity
-    layer must detect.  A fatal *metadata* write leaves the temp file
-    behind but never renames it, so the old blob survives (this is what
-    the atomic-rename protocol guarantees; the injector cannot tear the
-    blob itself).
+    Page writes, full metadata blobs and metadata delta frames are all
+    write points.  A fatal *page* write either loses the image entirely
+    or — in torn mode — lands the first :data:`TORN_WRITE_BYTES` of the
+    newly stamped image over the old page, producing a checksum
+    mismatch the integrity layer must detect.  A fatal *delta frame*
+    lands nothing or — in torn mode — its first half, a short frame
+    that reopen must treat as a checkpoint that never happened.  A
+    fatal *full blob* write never renames its temp file, so the old
+    ``.meta`` survives whole: the atomic-rename protocol leaves nothing
+    to tear.
     """
 
     def __init__(self, path: str | None, injector: FaultInjector) -> None:
@@ -125,6 +128,16 @@ class FaultyPageFile(PageFile):
             # truncated) but the rename never happened.
             self.injector.check_alive()
         return super().write_meta(meta)
+
+    def _append_frame(self, frame: bytes) -> None:
+        # The write point of ``append_meta``: reached only when a frame
+        # really goes to disk, so each checkpoint is one write point
+        # whether it appends a frame or writes a full blob.
+        if self.injector.on_write():
+            if self.injector.torn_write:
+                super()._append_frame(frame[: len(frame) // 2])
+            self.injector.check_alive()
+        super()._append_frame(frame)
 
     def read_page(self, page_id: int) -> PageImage:
         self.injector.check_alive()

@@ -425,3 +425,90 @@ def test_client_runner_is_deterministic(tmp_path):
         service.shutdown()
         db.storage.close()
     assert tallies[0] == tallies[1]
+
+
+# -- acked means durable across a real kill ------------------------------------
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _meta_tail_bytes(db_path):
+    """Bytes of delta frames after the base blob of a store's .meta."""
+    import io
+    import pickle
+
+    with open(db_path + ".meta", "rb") as handle:
+        blob = handle.read()
+    stream = io.BytesIO(blob)
+    pickle.Unpickler(stream).load()
+    return len(blob) - stream.tell()
+
+
+def test_acked_units_survive_sigkill_of_repro_serve(tmp_path):
+    """Start ``repro serve`` (checkpoint at every commit), run step
+    units from two socket clients, drain, then SIGKILL the server while
+    its .meta still ends in delta frames.  The store must verify, and
+    every unit acked before ``drain`` returned must be there."""
+    import re
+    import subprocess
+    import sys
+
+    db_path = str(tmp_path / "killed.pages")
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", db_path],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
+    )
+    try:
+        line = proc.stdout.readline()
+        match = re.search(r" on (?P<host>[^ ]+):(?P<port>\d+) ", line)
+        assert match, f"no serving line: {line!r}"
+        host, port = match["host"], int(match["port"])
+        clients = [ServiceClient(host, port, f"k{i}") for i in range(2)]
+        acked: dict[str, tuple[int, int]] = {}  # key -> (oid, steps)
+        tick = 0
+        for client in clients:
+            tick += 1
+            key = f"{client.session}-m"
+            acked[key] = (client.create_material("clone", key, tick), 0)
+        for round_no in range(40):
+            for client in clients:
+                tick += 1
+                key = f"{client.session}-m"
+                oid, steps = acked[key]
+                client.record_step("measure", tick, [oid], {"value": round_no})
+                acked[key] = (oid, steps + 1)
+        clients[0].drain()
+        # the last checkpoint may have been a compaction that folded the
+        # frames away; a few more acked units put a frame tail back
+        for _extra in range(20):
+            if _meta_tail_bytes(db_path):
+                break
+            tick += 1
+            oid, steps = acked["k0-m"]
+            clients[0].record_step("measure", tick, [oid], {"value": -1})
+            acked["k0-m"] = (oid, steps + 1)
+            clients[0].drain()
+        proc.kill()
+        proc.wait(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30)
+        proc.stdout.close()
+
+    assert _meta_tail_bytes(db_path) > 0  # killed with frames on disk
+    verify = subprocess.run(
+        [sys.executable, "-m", "repro", "verify", db_path],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert verify.returncode == 0, verify.stdout + verify.stderr
+    sm = ObjectStoreSM(path=db_path)
+    try:
+        db = LabBase(sm)
+        for key, (oid, steps) in acked.items():
+            assert db.lookup("clone", key) == oid
+            assert db.history_length(oid) == steps
+    finally:
+        sm.close()

@@ -45,6 +45,7 @@ from repro.storage import (
     TexasTCSM,
     TexasMM,
 )
+from repro.storage.disk import PageFile
 from repro.storage.registry import backends
 
 N_COMMITS = 25
@@ -293,3 +294,130 @@ def test_write_points_and_files_identical_with_and_without_batching(cls, tmp_pat
         }
     assert counts[0] == counts[8], "batching changed the write-point count"
     assert contents[0] == contents[8], "batching changed the disk bytes"
+
+
+# -- metadata delta frames ----------------------------------------------------
+
+
+def _checkpoint_state(sm) -> dict:
+    meta = sm._meta()
+    meta["epoch"] = sm.commit_epoch
+    return meta
+
+
+@pytest.mark.parametrize("cls", PERSISTENT_CLASSES)
+def test_torn_frame_then_new_checkpoint_survives_reopen(cls, tmp_path):
+    """A torn frame ends the replay; the reopened store's next
+    checkpoint must not append behind it (the frame would be invisible)
+    but write a full blob, so a second reopen sees the new commit."""
+    counting = FaultInjector()
+    sm = cls(path=os.path.join(tmp_path, "count.db"), checkpoint_every=1,
+             fault_injector=counting)
+    sm.allocate_write({"v": "base"})
+    sm.commit()  # first checkpoint: the base blob
+    sm.allocate_write({"v": "framed"})
+    sm.commit()  # second checkpoint: a frame, its last write point
+    frame_point = counting.writes_seen - 1
+    assert sm._disk.meta_tail_bytes > 0
+    sm.close()
+
+    path = os.path.join(tmp_path, "torn.db")
+    injector = FaultInjector(crash_after_writes=frame_point, torn_write=True)
+    sm = cls(path=path, checkpoint_every=1, fault_injector=injector)
+    base_oid = sm.allocate_write({"v": "base"})
+    sm.commit()
+    sm.allocate_write({"v": "framed"})
+    with pytest.raises(InjectedCrashError):
+        sm.commit()
+    meta_size = os.path.getsize(path + ".meta")
+
+    reopened = cls(path=path, checkpoint_every=1)
+    assert reopened._disk.meta_size_bytes == meta_size  # torn tail present
+    assert reopened._disk.meta_room == 0
+    assert sorted(reopened.oids()) == [base_oid]
+    new_oid = reopened.allocate_write({"v": "after"})
+    reopened.commit()
+    assert reopened._disk.meta_tail_bytes == 0  # full blob, garbage gone
+    # crash again (no close): the new commit must be durable
+    again = cls(path=path)
+    assert again.read(new_oid) == {"v": "after"}
+    assert again.read(base_oid) == {"v": "base"}
+    again.recover()
+    again.verify().raise_if_bad()
+    again.close()
+
+
+@pytest.mark.parametrize("cls", PERSISTENT_CLASSES)
+def test_corrupt_base_blob_fails_closed_with_frames(cls, tmp_path):
+    path = os.path.join(tmp_path, "corrupt.db")
+    sm = cls(path=path, checkpoint_every=1)
+    for i in range(2):
+        sm.allocate_write({"i": i})
+        sm.commit()
+    assert sm._disk.meta_tail_bytes > 0
+    base = sm._disk.meta_size_bytes - sm._disk.meta_tail_bytes
+    with open(path + ".meta", "r+b") as handle:
+        handle.seek(base // 2)  # damage the base; the frames stay intact
+        handle.write(b"\xff" * 8)
+    with pytest.raises(StorageError, match="corrupt metadata"):
+        cls(path=path)
+
+
+@pytest.mark.parametrize("cls", PERSISTENT_CLASSES)
+def test_compaction_boundary_keeps_every_checkpoint(cls, tmp_path):
+    """Frames accumulate until the next would outgrow the base blob;
+    then a full blob replaces both.  Reading the .meta at every step,
+    either side of each compaction, yields the checkpoint state."""
+    path = os.path.join(tmp_path, "compact.db")
+    sm = cls(path=path, checkpoint_every=1)
+    oids = [sm.allocate_write({"i": i}) for i in range(30)]
+    sm.commit()
+    compactions = frames = 0
+    for step in range(60):
+        sm.write(oids[step % len(oids)], {"i": step, "pad": "z" * (step * 40)})
+        if step % 5 == 0:
+            oids.append(sm.allocate_write({"new": step}))
+        tail_before = sm._disk.meta_tail_bytes
+        sm.commit()
+        disk = sm._disk
+        base = disk.meta_size_bytes - disk.meta_tail_bytes
+        assert disk.meta_tail_bytes <= base
+        if disk.meta_tail_bytes > tail_before:
+            frames += 1
+        elif tail_before:
+            compactions += 1
+        assert os.path.getsize(path + ".meta") == disk.meta_size_bytes
+        reader = PageFile(path)
+        assert reader.read_meta() == _checkpoint_state(sm)
+        reader.close()
+    assert frames > compactions > 0
+    sm.close()
+
+
+@pytest.mark.parametrize("cls", PERSISTENT_CLASSES)
+def test_close_after_torn_frame_keeps_the_crash_evidence(cls, tmp_path):
+    """Closing a crash-reopened store that changed nothing folds the
+    torn tail away at the checkpoint's own epoch: pages the lost
+    checkpoint would have ratified must still read as from the future."""
+    path = os.path.join(tmp_path, "evidence.db")
+    sm = cls(path=path, checkpoint_every=1)
+    sm.allocate_write({"v": "base"})
+    sm.commit()
+    sm.allocate_write({"v": "framed"})
+    sm.commit()
+    framed_size = sm._disk.meta_size_bytes
+    sm.allocate_write({"v": "lost"})
+    sm.checkpoint_every = 0
+    sm.commit()  # pages land; the checkpoint's frame is torn below
+    with open(path + ".meta", "ab") as handle:
+        handle.write(b"\x10\x00\x00\x00torn")
+    assert os.path.getsize(path + ".meta") > framed_size
+
+    reopened = cls(path=path)
+    assert not reopened.verify().ok
+    reopened.close()
+    assert os.path.getsize(path + ".meta") < framed_size  # one blob again
+    again = cls(path=path)
+    assert again.open_problems(), "close ratified pages of a lost checkpoint"
+    assert not again.verify().ok
+    again.close()

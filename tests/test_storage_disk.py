@@ -318,31 +318,140 @@ def test_write_pages_validates_every_image():
     assert disk.page_count == 0
 
 
-# -- redundant metadata writes ------------------------------------------------
 
 
-def test_identical_meta_blob_is_skipped(tmp_path):
-    path = os.path.join(tmp_path, "pages.db")
+# -- metadata delta frames ----------------------------------------------------
+
+
+def _base_meta(pad: int = 2000) -> dict:
+    return {
+        "epoch": 1,
+        "directory": {1: (0, 0), 2: (0, 1)},
+        "roots": {},
+        "segments": [{"name": "default", "page_ids": [0]}],
+        "intern": ["a"],
+        "pad": "x" * pad,
+    }
+
+
+@pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "file"])
+def test_delta_frames_replay_over_the_base(tmp_path, on_disk):
+    path = os.path.join(tmp_path, "pages.db") if on_disk else None
     disk = PageFile(path)
-    first = disk.write_meta({"v": 1})
-    assert first > 0
-    mtime = os.path.getmtime(path + ".meta")
-    assert disk.write_meta({"v": 1}) == 0  # byte-identical: not rewritten
-    assert os.path.getmtime(path + ".meta") == mtime
-    assert disk.meta_size_bytes == first  # size still reported
-    assert disk.write_meta({"v": 2}) > 0  # changed blob lands
-    assert disk.read_meta() == {"v": 2}
+    base = disk.write_meta(_base_meta())
+    first = disk.append_meta(
+        {"epoch": 2, "directory": {2: None, 3: (1, 0)}, "intern": ["b"]}
+    )
+    second = disk.append_meta(
+        {"epoch": 3, "roots": {"r": 3},
+         "segments": [{"name": "default", "page_ids": [0, 1]},
+                      {"name": "hot", "page_ids": [2]}]}
+    )
+    assert first > 0 and second > 0
+    assert disk.meta_size_bytes == base + first + second
+    if on_disk:
+        disk.close()
+        disk = PageFile(path)
+    meta = disk.read_meta()
+    assert meta["epoch"] == 3
+    assert meta["directory"] == {1: (0, 0), 3: (1, 0)}
+    assert meta["roots"] == {"r": 3}
+    assert [seg["name"] for seg in meta["segments"]] == ["default", "hot"]
+    assert meta["segments"][0]["page_ids"] == [0, 1]
+    assert meta["intern"] == ["a", "b"]
+    assert disk.meta_tail_bytes == first + second
     disk.close()
 
 
-def test_meta_skip_does_not_survive_reopen(tmp_path):
-    """The skip compares against what *this handle* wrote; a fresh handle
-    must write once before it can skip (it never read the old blob)."""
+def test_append_needs_a_base_blob():
+    disk = PageFile(None)
+    assert disk.meta_room == 0
+    assert disk.append_meta({"epoch": 1}) == 0
+    assert disk.read_meta() is None
+
+
+def test_full_blob_folds_the_tail_away(tmp_path):
     path = os.path.join(tmp_path, "pages.db")
     disk = PageFile(path)
-    disk.write_meta({"v": 1})
+    disk.write_meta(_base_meta())
+    disk.append_meta({"epoch": 2})
+    size = disk.write_meta(_base_meta(pad=10))
+    disk.append_meta({"epoch": 4})  # appends to the renamed-in blob
     disk.close()
+    assert not os.path.exists(path + ".meta.tmp")
     reopened = PageFile(path)
-    assert reopened.write_meta({"v": 1}) > 0
-    assert reopened.write_meta({"v": 1}) == 0
+    assert reopened.read_meta()["epoch"] == 4
+    assert reopened.meta_tail_bytes == os.path.getsize(path + ".meta") - size
+    reopened.close()
+
+
+def test_frames_are_bounded_by_the_base_blob_size(tmp_path):
+    """The compaction boundary: a frame that would take the tail past
+    the base blob's size is refused (0 bytes, nothing written)."""
+    path = os.path.join(tmp_path, "pages.db")
+    disk = PageFile(path)
+    base = disk.write_meta(_base_meta(pad=300))
+    appended = frame = 0
+    while True:
+        written = disk.append_meta({"epoch": 2, "pad": "y" * 60})
+        if not written:
+            break
+        appended, frame = appended + written, written
+    assert 0 < appended <= base
+    assert disk.meta_room == base - appended < frame
+    assert os.path.getsize(path + ".meta") == base + appended
+    disk.close()
+
+
+@pytest.mark.parametrize("cut", [3, 8, 20])
+def test_torn_frame_ends_replay_and_blocks_appends(tmp_path, cut):
+    """A short frame is a checkpoint that never happened; nothing may be
+    appended behind it, so the next checkpoint must be a full blob."""
+    path = os.path.join(tmp_path, "pages.db")
+    disk = PageFile(path)
+    disk.write_meta(_base_meta())
+    disk.append_meta({"epoch": 2})
+    disk.close()
+    with open(path + ".meta", "ab") as handle:
+        frame = b"\x80\x04\x95" + b"\x00" * 40  # an arbitrary partial frame
+        handle.write(frame[:cut])
+    reopened = PageFile(path)
+    assert reopened.read_meta()["epoch"] == 2
+    assert reopened.meta_room == 0
+    assert reopened.append_meta({"epoch": 3}) == 0
+    reopened.write_meta(_base_meta())
+    assert reopened.meta_tail_bytes == 0 and reopened.meta_room > 0
+    reopened.close()
+
+
+def test_crc_failing_frame_is_ignored(tmp_path):
+    path = os.path.join(tmp_path, "pages.db")
+    disk = PageFile(path)
+    disk.write_meta(_base_meta())
+    disk.append_meta({"epoch": 2})
+    disk.append_meta({"epoch": 3})
+    disk.close()
+    with open(path + ".meta", "r+b") as handle:
+        handle.seek(-1, os.SEEK_END)  # flip the last payload byte
+        last = handle.read(1)
+        handle.seek(-1, os.SEEK_END)
+        handle.write(bytes([last[0] ^ 0xFF]))
+    reopened = PageFile(path)
+    assert reopened.read_meta()["epoch"] == 2
+    assert reopened.meta_room == 0
+    reopened.close()
+
+
+def test_corrupt_base_blob_with_frames_fails_closed(tmp_path):
+    path = os.path.join(tmp_path, "pages.db")
+    disk = PageFile(path)
+    disk.write_meta(_base_meta())
+    disk.append_meta({"epoch": 2})
+    disk.close()
+    with open(path + ".meta", "r+b") as handle:
+        handle.seek(10)
+        handle.write(b"\xff\xfe\xfd")
+    reopened = PageFile(path)
+    with pytest.raises(StorageError, match="corrupt metadata"):
+        reopened.read_meta()
     reopened.close()

@@ -135,3 +135,112 @@ def test_space_reuse_after_delete(sizes):
     after = sm._disk.page_count + len(sm._pool.resident_ids())
     assert after <= grown * 2 + 2
     sm.close()
+
+
+# -- metadata delta frames: replay equivalence --------------------------------
+
+
+class _MetaOp:
+    CREATE, GROW, SHRINK, DELETE, BEGIN, COMMIT, ABORT, ROOT, SEGMENT = range(9)
+
+
+_meta_ops = st.lists(
+    st.tuples(
+        # commits weighted up: most examples then cross several
+        # checkpoints, so frames pile up and compactions happen
+        st.sampled_from([*range(9), _MetaOp.COMMIT, _MetaOp.COMMIT]),
+        st.integers(0, 30),
+        st.integers(0, 6000),
+    ),
+    min_size=20,
+    max_size=80,
+)
+
+
+def _step_record(index: int, size: int) -> dict:
+    """A step-shaped record: the codec's fast path interns its
+    attribute names, so new intern names reach the delta frames."""
+    return {
+        "kind": "sm_step",
+        "class_version": 1,
+        "valid_time": index,
+        "results": [(f"attr{index % 7}", "v" * (size % 300))],
+        "involves": [index],
+    }
+
+
+def _checkpoint_state(sm) -> dict:
+    """The metadata the last checkpoint made durable (epoch included)."""
+    meta = sm._meta()
+    meta["epoch"] = sm.commit_epoch
+    return meta
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(operations=_meta_ops, every=st.sampled_from([1, 3]))
+def test_base_blob_plus_frames_replays_the_last_checkpoint(operations, every):
+    """Reopening from the base blob plus its frame tail restores exactly
+    the metadata ``_meta()`` held at the last checkpoint; after close()
+    the ``.meta`` file is one blob with no trailing bytes."""
+    import io
+    import os
+    import pickle
+    import tempfile
+
+    from repro.storage.disk import PageFile
+
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "replay.db")
+        sm = ObjectStoreSM(path=path, checkpoint_every=every, buffer_pages=8)
+        sm.create_segment("hot")
+        handles: list[int] = []
+        in_txn = False
+        durable = None
+        for op, index, size in operations:
+            live = [oid for oid in handles if sm.exists(oid)]
+            target = live[index % len(live)] if live else None
+            if op == _MetaOp.CREATE:
+                segment = "hot" if index % 2 else None
+                handles.append(
+                    sm.allocate_write(_step_record(index, size), segment=segment)
+                )
+            elif op in (_MetaOp.GROW, _MetaOp.SHRINK) and target is not None:
+                # Growing past the slot relocates the record (possibly
+                # into chunks); shrinking replaces it in place.
+                value = "g" * size if op == _MetaOp.GROW else index
+                sm.write(target, value)
+            elif op == _MetaOp.DELETE and target is not None:
+                sm.delete(target)
+            elif op == _MetaOp.BEGIN and not in_txn:
+                sm.begin()
+                in_txn = True
+            elif op == _MetaOp.ABORT and in_txn:
+                sm.abort()
+                in_txn = False
+            elif op == _MetaOp.ROOT and target is not None:
+                sm.set_root(f"r{index % 3}", target)
+            elif op == _MetaOp.SEGMENT:
+                sm.create_segment(f"seg{index % 4}")
+            elif op == _MetaOp.COMMIT:
+                epoch = sm.commit_epoch
+                sm.commit()
+                in_txn = False
+                if sm.commit_epoch != epoch:
+                    durable = _checkpoint_state(sm)
+        if in_txn:
+            sm.abort()
+
+        # A crash here: the .meta on disk is the last base blob plus
+        # whatever frames the later checkpoints appended.
+        reader = PageFile(path)
+        replayed = reader.read_meta()
+        reader.close()
+        assert replayed == durable
+
+        sm.close()
+        final = _checkpoint_state(sm)
+        with open(path + ".meta", "rb") as handle:
+            blob = handle.read()
+        stream = io.BytesIO(blob)
+        assert pickle.Unpickler(stream).load() == final
+        assert stream.tell() == len(blob)
