@@ -28,6 +28,7 @@ import time
 import pytest
 
 from repro.labbase import LabBase
+from repro.obs.registry import gauges_from
 from repro.server import LabFlowService, LocalClient, bootstrap_schema
 from repro.storage import ObjectStoreSM
 from repro.util.fmt import format_table
@@ -104,16 +105,15 @@ def _run(sessions: int, group: bool) -> dict:
         assert db.verify_storage().ok
         sm.close()
 
-    groups = delta["group_commits"]
     return {
         "sessions": sessions,
         "group_commit": group,
         "units": units,
         "unit_us": elapsed / units * 1e6,
         "commits": delta["commits"],
-        "group_commits": groups,
+        "group_commits": delta["group_commits"],
         "sessions_per_group": delta["sessions_per_group"],
-        "group_width": delta["sessions_per_group"] / groups if groups else 0.0,
+        "group_width": gauges_from(delta)["group_width"],
         "commit_stalls": delta["commit_stalls"],
         "io_batches": delta["io_batches"],
         "meta_bytes_written": delta["meta_bytes_written"],

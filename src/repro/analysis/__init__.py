@@ -2,10 +2,11 @@
 
 The storage layers accumulate invariants the test suite can only check
 probabilistically — deterministic crash-matrix write points, canonical
-lock ordering, balanced counter accounting, cache-coherence drain order.
+lock ordering, strict two-phase locking, cache-coherence drain order.
 This package enforces them *mechanically*, the way
 ``repro.storage.integrity`` enforces the data-level invariants I1–I9:
-an AST pass over the source tree with repo-specific rules (LF01–LF06),
+an AST pass over the source tree with repo-specific rules (LF01–LF04,
+LF06, LF08, LF09; see :mod:`repro.analysis.rules` for the table),
 run by CI and by ``repro lint`` / ``python -m repro.analysis``.
 
 Only the standard library is used (``ast``, ``argparse``, ``json``), so

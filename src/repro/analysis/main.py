@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
         description="AST-based invariant linter for the storage stack "
-        "(rules LF01-LF06)",
+        "(rules LF01-LF04, LF06, LF08, LF09)",
     )
     parser.add_argument(
         "paths", nargs="*",

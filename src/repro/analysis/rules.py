@@ -16,19 +16,8 @@ LF04 lock-ordering discipline: a loop that acquires locks must iterate a
      canonically ordered source (``sorted(...)`` or a ``self`` helper, as
      in ``labbase/sessions.py``) and sit under a ``try`` that releases
      partial grabs (or a context manager)
-LF05 counter hygiene: every ``StorageStats`` field incremented anywhere
-     must be declared, merged by the stats aggregator and rendered by
-     ``benchmark/report.py``; every ``ResourceUsage`` field must be
-     merged by ``ResourceUsage.__add__``
 LF06 no broad exception handling on storage/labbase paths (``except
      Exception`` / bare ``except`` without a bare re-raise)
-LF07 metric-registry hygiene: every gauge registered in ``repro.obs``
-     (a ``MetricSpec(...)`` call) is shown by exactly the render
-     function its spec declares — and by no other function in
-     ``repro.obs.render`` — is recorded under exactly one
-     ``BASELINE_SCHEMAS`` entry in ``repro.obs.baseline``, and reads
-     only declared ``StorageStats`` counters; schemas must not name
-     unregistered gauges
 LF08 lock-order / strict-2PL discipline over the served core: every
      lock is registered in ``LOCK_RANKS``/``LOCK_SITES``, no
      acquisition edge inverts the ranks or closes a cycle, releases
@@ -473,170 +462,6 @@ class LockOrderingRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# LF05 — counter hygiene
-# ---------------------------------------------------------------------------
-
-_STATS_MODULE = "repro.storage.stats"
-_REPORT_MODULE = "repro.benchmark.report"
-_TIMING_MODULE = "repro.util.timing"
-_AGGREGATOR_FUNCS = ("reset", "snapshot", "delta", "merge", "__add__")
-
-
-def _dataclass_fields(tree: ast.AST, class_name: str) -> dict[str, ast.AnnAssign]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            return {
-                stmt.target.id: stmt
-                for stmt in node.body
-                if isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-                and not stmt.target.id.startswith("_")
-            }
-    return {}
-
-
-def _class_def(tree: ast.AST, class_name: str) -> ast.ClassDef | None:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            return node
-    return None
-
-
-def _names_in(node: ast.AST) -> set[str]:
-    """Every identifier, attribute name, keyword and string inside a node."""
-    names: set[str] = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name):
-            names.add(child.id)
-        elif isinstance(child, ast.Attribute):
-            names.add(child.attr)
-        elif isinstance(child, ast.keyword) and child.arg:
-            names.add(child.arg)
-        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
-            names.add(child.value)
-    return names
-
-
-def _stats_increments(module: SourceModule) -> Iterator[tuple[ast.AST, str]]:
-    """(node, field) for every ``<...>.stats.<field> +=`` in a module."""
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.AugAssign):
-            continue
-        target = node.target
-        if not isinstance(target, ast.Attribute):
-            continue
-        receiver = target.value
-        holder = None
-        if isinstance(receiver, ast.Attribute):
-            holder = receiver.attr
-        elif isinstance(receiver, ast.Name):
-            holder = receiver.id
-        if holder in ("stats", "_stats"):
-            yield node, target.attr
-
-
-class CounterHygieneRule(Rule):
-    id = "LF05"
-    title = "every incremented counter is declared, merged, and rendered"
-
-    def check(self, project: Project) -> Iterable[Finding]:
-        yield from self._check_storage_stats(project)
-        yield from self._check_resource_usage(project)
-
-    def _check_storage_stats(self, project: Project) -> Iterable[Finding]:
-        stats_module = project.module(_STATS_MODULE)
-        if stats_module is None:
-            return  # nothing to judge against (partial project)
-        declared = _dataclass_fields(stats_module.tree, "StorageStats")
-        merged = self._merged_fields(stats_module, declared)
-        report_module = project.module(_REPORT_MODULE)
-        rendered = (
-            _names_in(report_module.tree) if report_module is not None else None
-        )
-        for module in project:
-            if not (
-                in_storage_stack(module.name)
-                or module.name.startswith("repro.benchmark")
-                or module.name == _STATS_MODULE
-            ):
-                continue
-            for node, field_name in _stats_increments(module):
-                if field_name not in declared:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"increments undeclared counter {field_name!r}; "
-                        "declare it as a StorageStats field",
-                    )
-                    continue
-                if field_name not in merged:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"counter {field_name!r} is declared but the stats "
-                        "aggregator never merges it (reset/snapshot/delta)",
-                    )
-                if rendered is not None and field_name not in rendered:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"counter {field_name!r} is never rendered by "
-                        f"{_REPORT_MODULE}; silent counters hide "
-                        "regressions — add it to render_stats",
-                    )
-
-    def _merged_fields(
-        self, stats_module: SourceModule, declared: dict[str, ast.AnnAssign]
-    ) -> set[str]:
-        """Fields the aggregator covers.
-
-        The shipped aggregator is field-driven (``__dataclass_fields__``),
-        which covers every declared field by construction; hand-written
-        aggregators must name each field.
-        """
-        class_def = _class_def(stats_module.tree, "StorageStats")
-        if class_def is None:
-            return set()
-        covered: set[str] = set()
-        for stmt in class_def.body:
-            if (
-                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and stmt.name in _AGGREGATOR_FUNCS
-            ):
-                names = _names_in(stmt)
-                if "__dataclass_fields__" in names:
-                    return set(declared)
-                covered.update(names & set(declared))
-        return covered
-
-    def _check_resource_usage(self, project: Project) -> Iterable[Finding]:
-        timing_module = project.module(_TIMING_MODULE)
-        if timing_module is None:
-            return
-        class_def = _class_def(timing_module.tree, "ResourceUsage")
-        if class_def is None:
-            return
-        declared = _dataclass_fields(timing_module.tree, "ResourceUsage")
-        add_def = next(
-            (
-                stmt
-                for stmt in class_def.body
-                if isinstance(stmt, ast.FunctionDef) and stmt.name == "__add__"
-            ),
-            None,
-        )
-        merged = _names_in(add_def) if add_def is not None else set()
-        for field_name, node in declared.items():
-            if field_name not in merged:
-                yield self.finding(
-                    timing_module,
-                    node,
-                    f"ResourceUsage.{field_name} is never merged by "
-                    "__add__; interval totals silently drop it",
-                )
-
-
-# ---------------------------------------------------------------------------
 # LF06 — broad exception handling
 # ---------------------------------------------------------------------------
 
@@ -689,251 +514,12 @@ class BroadExceptRule(Rule):
             )
 
 
-# ---------------------------------------------------------------------------
-# LF07 — metric-registry hygiene
-# ---------------------------------------------------------------------------
-
-_OBS_PREFIX = "repro.obs"
-_RENDER_MODULE = "repro.obs.render"
-_BASELINE_MODULE = "repro.obs.baseline"
-
-
-def _const_str(node: ast.expr | None) -> str | None:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-def _const_str_seq(node: ast.expr | None) -> tuple[str, ...] | None:
-    """A tuple/list literal of string constants, statically decoded."""
-    if not isinstance(node, (ast.Tuple, ast.List)):
-        return None
-    values: list[str] = []
-    for element in node.elts:
-        value = _const_str(element)
-        if value is None:
-            return None
-        values.append(value)
-    return tuple(values)
-
-
-def _metric_spec_calls(
-    module: SourceModule,
-) -> Iterator[tuple[ast.Call, dict[str, object]]]:
-    """(node, keyword fields) for every ``MetricSpec(...)`` call."""
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call) or _call_name(node) != "MetricSpec":
-            continue
-        fields: dict[str, object] = {}
-        for keyword in node.keywords:
-            if keyword.arg is None:
-                continue
-            value: object = _const_str(keyword.value)
-            if value is None:
-                value = _const_str_seq(keyword.value)
-            if value is not None:
-                fields[keyword.arg] = value
-        yield node, fields
-
-
-def _baseline_schemas(
-    tree: ast.AST,
-) -> dict[str, tuple[str, ...]] | None:
-    """The ``BASELINE_SCHEMAS`` dict literal, statically decoded."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        else:
-            continue
-        named = any(
-            isinstance(target, ast.Name) and target.id == "BASELINE_SCHEMAS"
-            for target in targets
-        )
-        if not named or not isinstance(value, ast.Dict):
-            continue
-        schemas: dict[str, tuple[str, ...]] = {}
-        for key_node, value_node in zip(value.keys, value.values):
-            key = _const_str(key_node)
-            names = _const_str_seq(value_node)
-            if key is not None and names is not None:
-                schemas[key] = names
-        return schemas
-    return None
-
-
-class MetricRegistryRule(Rule):
-    id = "LF07"
-    title = "every registered gauge has one render path and one baseline schema"
-
-    def check(self, project: Project) -> Iterable[Finding]:
-        render_module = project.module(_RENDER_MODULE)
-        render_funcs: dict[str, set[str]] = {}
-        if render_module is not None:
-            render_funcs = {
-                stmt.name: _names_in(stmt)
-                for stmt in render_module.tree.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-        baseline_module = project.module(_BASELINE_MODULE)
-        schemas = (
-            _baseline_schemas(baseline_module.tree)
-            if baseline_module is not None
-            else None
-        )
-        stats_module = project.module(_STATS_MODULE)
-        counters = (
-            set(_dataclass_fields(stats_module.tree, "StorageStats"))
-            if stats_module is not None
-            else None
-        )
-        registered: set[str] = set()
-        for module in project:
-            if not module.name.startswith(_OBS_PREFIX):
-                continue
-            for node, fields in _metric_spec_calls(module):
-                name = fields.get("name")
-                if not isinstance(name, str):
-                    yield self.finding(
-                        module,
-                        node,
-                        "MetricSpec registration without a statically known "
-                        "name= keyword; the registry contract cannot be "
-                        "checked",
-                    )
-                    continue
-                registered.add(name)
-                yield from self._check_render(
-                    module, node, name, fields, render_funcs, render_module
-                )
-                yield from self._check_baseline(module, node, name, fields, schemas)
-                yield from self._check_counters(module, node, name, fields, counters)
-        if registered and schemas is not None and baseline_module is not None:
-            for schema, names in sorted(schemas.items()):
-                for gauge in names:
-                    if gauge not in registered:
-                        yield self.finding(
-                            baseline_module,
-                            baseline_module.tree,
-                            f"baseline schema {schema!r} records {gauge!r}, "
-                            "which no MetricSpec registers; stale schema "
-                            "entries record noise",
-                        )
-
-    def _check_render(
-        self,
-        module: SourceModule,
-        node: ast.AST,
-        name: str,
-        fields: dict[str, object],
-        render_funcs: dict[str, set[str]],
-        render_module: SourceModule | None,
-    ) -> Iterator[Finding]:
-        if render_module is None:
-            return  # partial project: nothing to judge against
-        declared = fields.get("render")
-        if not isinstance(declared, str) or declared not in render_funcs:
-            yield self.finding(
-                module,
-                node,
-                f"gauge {name!r} declares render path {declared!r} but "
-                f"{_RENDER_MODULE} defines no such function",
-            )
-            return
-        hosts = sorted(f for f, names in render_funcs.items() if name in names)
-        if hosts == [declared]:
-            return
-        if declared not in hosts:
-            yield self.finding(
-                module,
-                node,
-                f"gauge {name!r} is registered but {declared} never shows "
-                "it; unrendered gauges hide regressions — add its column",
-            )
-        extra = [host for host in hosts if host != declared]
-        if extra:
-            yield self.finding(
-                module,
-                node,
-                f"gauge {name!r} appears in {', '.join(extra)} besides its "
-                f"declared render path {declared}; one gauge, one render "
-                "path",
-            )
-
-    def _check_baseline(
-        self,
-        module: SourceModule,
-        node: ast.AST,
-        name: str,
-        fields: dict[str, object],
-        schemas: dict[str, tuple[str, ...]] | None,
-    ) -> Iterator[Finding]:
-        if schemas is None:
-            return
-        declared = fields.get("baseline")
-        if not isinstance(declared, str) or declared not in schemas:
-            yield self.finding(
-                module,
-                node,
-                f"gauge {name!r} declares baseline schema {declared!r} but "
-                f"{_BASELINE_MODULE} BASELINE_SCHEMAS has no such entry",
-            )
-            return
-        hosts = sorted(schema for schema, names in schemas.items() if name in names)
-        if hosts == [declared]:
-            return
-        if len(hosts) > 1:
-            yield self.finding(
-                module,
-                node,
-                f"gauge {name!r} is recorded under {len(hosts)} baseline "
-                f"schemas ({', '.join(hosts)}); exactly one schema owns "
-                "each gauge",
-            )
-        elif not hosts or declared not in hosts:
-            yield self.finding(
-                module,
-                node,
-                f"gauge {name!r} declares baseline schema {declared!r} but "
-                f"that schema's BASELINE_SCHEMAS entry does not record it",
-            )
-
-    def _check_counters(
-        self,
-        module: SourceModule,
-        node: ast.AST,
-        name: str,
-        fields: dict[str, object],
-        counters: set[str] | None,
-    ) -> Iterator[Finding]:
-        if counters is None:
-            return
-        numerator = fields.get("numerator")
-        denominator = fields.get("denominator")
-        sources: list[str] = []
-        if isinstance(numerator, str):
-            sources.append(numerator)
-        if isinstance(denominator, tuple):
-            sources.extend(denominator)
-        for counter in sources:
-            if counter not in counters:
-                yield self.finding(
-                    module,
-                    node,
-                    f"gauge {name!r} reads {counter!r}, which is not a "
-                    "declared StorageStats field",
-                )
-
-
 ALL_RULES: tuple[Rule, ...] = (
     DirectIORule(),
     DeterminismRule(),
     PrivateReachInRule(),
     LockOrderingRule(),
-    CounterHygieneRule(),
     BroadExceptRule(),
-    MetricRegistryRule(),
 ) + CONCURRENCY_RULES
 
 

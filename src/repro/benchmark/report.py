@@ -17,6 +17,8 @@ plus helpers for the extended stats the ablation benches report.
 from __future__ import annotations
 
 from repro.benchmark.harness import ComparisonResult, RunResult
+from repro.obs.registry import METRIC_NAMES
+from repro.storage.stats import LAYERS, STAT_FIELDS, STAT_LAYERS
 from repro.util.fmt import format_table
 
 _RESOURCES = ("elapsed sec", "user cpu sec", "sys cpu sec", "majflt", "size (bytes)")
@@ -59,68 +61,33 @@ def render_run(run: RunResult, title: str | None = None) -> str:
     )
 
 
-def render_stats(
-    comparison: ComparisonResult,
-    counters: tuple[str, ...] = (
-        "major_faults",
-        "buffer_hits",
-        "page_reads",
-        "page_writes",
-        "bytes_read",
-        "bytes_written",
-        "pages_prefetched",
-        "prefetch_hits",
-        "io_batches",
-        "mapped_reads",
-        "records_fast_path",
-        "records_fallback",
-        "intern_table_size",
-        "meta_bytes_written",
-        "swizzle_operations",
-        "objects_read",
-        "objects_written",
-        "objects_deleted",
-        "commits",
-        "aborts",
-        "lock_acquisitions",
-        "lock_waits",
-        "lock_upgrades",
-        "group_commits",
-        "sessions_per_group",
-        "commit_stalls",
-        "cache_hits",
-        "cache_misses",
-        "cache_coalesced",
-        "cache_evictions",
-    ),
-    derived: tuple[str, ...] = ("hit_ratio", "cache_hit_ratio", "group_width"),
-) -> str:
+def render_stats(comparison: ComparisonResult) -> str:
     """Storage-counter totals per server (the locality evidence).
 
-    Raw counters first, then the ``derived`` ratios from the metric
-    registry (:func:`repro.obs.registry.gauges_from`) — reports stop at
-    raw numbers only when a ratio would mislead (per-interval tables),
-    not here, where the whole-run ratios are the headline.
+    Every ``StorageStats`` counter, grouped by its owning layer (bottom
+    of the stack first), then every registered gauge over the whole
+    run.  Both row sets are generated from the declarations, so a new
+    counter or gauge shows up here without an edit.
     """
-    from repro.obs.registry import gauges_from
-
-    headers = ["Counter"] + [run.server for run in comparison.runs]
+    runs = comparison.runs
     rows: list[list[str]] = []
-    for counter in counters:
+    for layer in LAYERS:
+        counters = [name for name in STAT_FIELDS if STAT_LAYERS[name] == layer]
+        for index, counter in enumerate(counters):
+            rows.append(
+                [layer if index == 0 else "", counter]
+                + [f"{run.final_stats[counter]:,}" for run in runs]
+            )
+    for index, name in enumerate(METRIC_NAMES):
         rows.append(
-            [counter]
-            + [f"{run.final_stats.get(counter, 0):,}" for run in comparison.runs]
-        )
-    gauge_columns = [gauges_from(run.final_stats) for run in comparison.runs]
-    for name in derived:
-        rows.append(
-            [name] + [f"{gauges[name]:.3f}" for gauges in gauge_columns]
+            ["gauges" if index == 0 else "", name]
+            + [f"{run.final_gauges[name]:.3f}" for run in runs]
         )
     return format_table(
-        headers,
+        ["Layer", "Counter"] + [run.server for run in runs],
         rows,
         title="Storage counters (whole run)",
-        align_right=tuple(range(1, 1 + len(comparison.runs))),
+        align_right=tuple(range(2, 2 + len(runs))),
     )
 
 

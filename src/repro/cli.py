@@ -584,6 +584,9 @@ def cmd_bench(args) -> int:
                 print(f"error: {schema}: missing bench result: {exc}",
                       file=sys.stderr)
                 return 2
+            except KeyError as exc:  # a gauge's counter is not in the result
+                print(f"error: {schema}: {exc.args[0]}", file=sys.stderr)
+                return 2
             print(f"recorded {path}")
         return 0
 
@@ -598,6 +601,9 @@ def cmd_bench(args) -> int:
             )
         except (FileNotFoundError, ValueError) as exc:
             print(f"error: {baseline_file}: {exc}", file=sys.stderr)
+            return 2
+        except KeyError as exc:  # a gauge's counter is not in the result
+            print(f"error: {baseline_file}: {exc.args[0]}", file=sys.stderr)
             return 2
         compared.append(baseline_file)
         all_drifts.extend(drifts)
@@ -727,7 +733,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("lint",
-                       help="run the storage-stack invariant linter (LF01-LF09)")
+                       help="run the storage-stack invariant linter "
+                       "(LF01-LF04, LF06, LF08, LF09)")
     p.add_argument("paths", nargs="*",
                    help="files or directories (default: the repro package)")
     p.add_argument("--format", choices=("text", "json"), default="text")

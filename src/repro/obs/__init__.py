@@ -2,9 +2,9 @@
 
 The observability layer over the reproduction (DESIGN.md section 14):
 
-* :mod:`repro.obs.registry` — every derived gauge, as declared
-  :class:`~repro.obs.registry.MetricSpec` entries (lint rule LF07
-  enforces the one-render-path / one-baseline-schema discipline);
+* :mod:`repro.obs.registry` — every derived gauge, declared once as a
+  :class:`~repro.obs.registry.MetricSpec` entry (formula, baseline
+  schema, tolerance); schemas and gauge columns are generated from it;
 * :mod:`repro.obs.sampler` — interval snapshots of the counter block
   with per-interval deltas and gauges, as deterministic JSONL;
 * :mod:`repro.obs.tracing` — span events from the served session layer

@@ -13,9 +13,11 @@ What gets recorded, deliberately:
   because byte counters (pickle encodings) shift slightly across
   Python versions while remaining the same order of magnitude.
 * **gauges** — the registered metrics whose spec names this schema
-  (LF07 guarantees each gauge appears in exactly one schema), computed
-  from the bench's representative counter block.  Compared with
-  per-gauge *absolute* tolerances from :data:`GAUGE_TOLERANCES`.
+  (each :class:`~repro.obs.registry.MetricSpec` names exactly one),
+  computed from the bench's representative counter block.  A gauge
+  whose counters that block lacks is an error, not a 0.0.  Compared
+  with per-gauge *absolute* tolerances from :data:`GAUGE_TOLERANCES`,
+  which are the registry's ``tolerance`` fields.
 * **not** wall-clock timings — any ``*_us`` / ``*_ms`` / ``*_sec``
   field is machine noise in CI; pytest-benchmark artefacts already
   capture them for humans.
@@ -41,30 +43,28 @@ BASELINE_BENCHES: dict[str, str] = {
     "A8": "a8_codec",
 }
 
-#: Which registered gauges each schema records.  LF07 cross-checks this
-#: dict against the ``baseline=`` field of every MetricSpec: each gauge
-#: appears in exactly one schema, and no schema names an unregistered
-#: gauge.
+#: Which registered gauges each schema records, and each gauge's
+#: absolute drift tolerance: both generated from the registry, where
+#: every gauge names its one schema.
 BASELINE_SCHEMAS: dict[str, tuple[str, ...]] = {
-    "A4": ("cache_hit_ratio", "coalesce_ratio"),
-    "A5": ("hit_ratio", "prefetch_absorption"),
-    "A6": ("group_width", "commit_stall_ratio"),
-    "A7": ("mapped_read_ratio",),
-    "A8": ("fast_path_ratio",),
+    schema: tuple(spec.name for spec in DERIVED_METRICS if spec.baseline == schema)
+    for schema in BASELINE_BENCHES
+}
+GAUGE_TOLERANCES: dict[str, float] = {
+    spec.name: spec.tolerance for spec in DERIVED_METRICS
 }
 
-#: Absolute drift tolerance per gauge (gauges are ratios in stable
-#: units; group_width is sessions, so it gets the widest band).
-GAUGE_TOLERANCES: dict[str, float] = {
-    "hit_ratio": 0.05,
-    "prefetch_absorption": 0.10,
-    "cache_hit_ratio": 0.05,
-    "coalesce_ratio": 0.10,
-    "group_width": 0.75,
-    "commit_stall_ratio": 0.25,
-    "mapped_read_ratio": 0.10,
-    "fast_path_ratio": 0.05,
-}
+
+def _validate_schemas() -> None:
+    for spec in DERIVED_METRICS:
+        if spec.baseline not in BASELINE_BENCHES:
+            raise ValueError(
+                f"gauge {spec.name!r} names unknown baseline schema "
+                f"{spec.baseline!r}"
+            )
+
+
+_validate_schemas()
 
 #: Fields with these suffixes are timings: excluded from baselines.
 _TIME_SUFFIXES = ("_us", "_ms", "_sec", "_seconds", "_ns")
@@ -137,8 +137,9 @@ def representative_counters(schema: str, payload: Mapping[str, object]) -> dict[
         # The bench reports the cold scan's counters under cold_* keys;
         # the gauge reads the raw counter names.
         block = {
-            "mapped_reads": entry.get("cold_mapped_reads", 0),
-            "page_reads": entry.get("cold_page_reads", 0),
+            key[len("cold_"):]: value
+            for key, value in entry.items()
+            if key.startswith("cold_")
         }
     elif schema == "A8":
         block = payload.get("labf")
@@ -154,14 +155,18 @@ def representative_counters(schema: str, payload: Mapping[str, object]) -> dict[
 
 
 def canonicalize(schema: str, payload: Mapping[str, object]) -> dict[str, object]:
-    """The committed ``BENCH_<schema>.json`` content for one bench run."""
+    """The committed ``BENCH_<schema>.json`` content for one bench run.
+
+    Raises ``KeyError`` when the representative block lacks a counter
+    one of the schema's gauges reads.
+    """
     if schema not in BASELINE_SCHEMAS:
         raise KeyError(f"unknown baseline schema {schema!r}")
     source = representative_counters(schema, payload)
     gauges = {
         spec.name: round(spec.compute(source), 6)
         for spec in DERIVED_METRICS
-        if spec.name in BASELINE_SCHEMAS[schema]
+        if spec.baseline == schema
     }
     return {
         "version": BASELINE_VERSION,

@@ -1,20 +1,31 @@
 """Render paths for the observability layer.
 
-:func:`render_sample_table` is **the** render path for registered
-gauges — lint rule LF07 checks that every gauge named in
-:data:`repro.obs.registry.DERIVED_METRICS` appears in exactly the
-render function its spec declares, and in no other.  The table uses
-fixed column widths (not :func:`repro.util.fmt.format_table`) so the
-live monitor can stream one row per poll and stay aligned with the
-header it printed minutes ago.
+:func:`render_sample_table` is the live render path for registered
+gauges: its gauge columns are generated from
+:data:`repro.obs.registry.DERIVED_METRICS`, one per gauge in registry
+order, so a newly registered gauge shows up without touching this
+module.  The table uses fixed column widths (not
+:func:`repro.util.fmt.format_table`) so the live monitor can stream one
+row per poll and stay aligned with the header it printed minutes ago.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from repro.obs.registry import METRIC_NAMES
 from repro.obs.sampler import Sample
 from repro.util.fmt import format_table
+
+#: The sample table's columns, (header, key, width): sequence number,
+#: interval length, three counter deltas, then one column per gauge.
+_SAMPLE_COLUMNS: tuple[tuple[str, str, int], ...] = (
+    ("#", "seq", 4),
+    ("dt_s", "dt", 8),
+    ("commits", "commits", 8),
+    ("units", "sessions_per_group", 8),
+    ("majflt", "major_faults", 8),
+) + tuple((name, name, max(len(name), 10)) for name in METRIC_NAMES)
 
 
 def render_sample_table(samples: Sequence[Sample], title: str | None = None) -> str:
@@ -23,30 +34,15 @@ def render_sample_table(samples: Sequence[Sample], title: str | None = None) -> 
     The delta columns are per-interval counter increments; the gauge
     columns are the registered ratios over the same interval.
     """
-    columns: tuple[tuple[str, str, int], ...] = (
-        ("#", "seq", 4),
-        ("dt_s", "dt", 8),
-        ("commits", "commits", 8),
-        ("units", "sessions_per_group", 8),
-        ("majflt", "major_faults", 8),
-        ("hit_ratio", "hit_ratio", 10),
-        ("cache_hit_ratio", "cache_hit_ratio", 15),
-        ("prefetch_absorption", "prefetch_absorption", 19),
-        ("coalesce_ratio", "coalesce_ratio", 14),
-        ("group_width", "group_width", 11),
-        ("commit_stall_ratio", "commit_stall_ratio", 18),
-        ("mapped_read_ratio", "mapped_read_ratio", 17),
-        ("fast_path_ratio", "fast_path_ratio", 15),
-    )
     lines: list[str] = []
     if title:
         lines.append(title)
-    header = "  ".join(name.rjust(width) for name, _, width in columns)
+    header = "  ".join(name.rjust(width) for name, _, width in _SAMPLE_COLUMNS)
     lines.append(header)
     lines.append("-" * len(header))
     for sample in samples:
         cells: list[str] = []
-        for name, key, width in columns:
+        for _name, key, width in _SAMPLE_COLUMNS:
             if key == "seq":
                 cells.append(str(sample.seq).rjust(width))
             elif key == "dt":

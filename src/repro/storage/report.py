@@ -6,7 +6,10 @@ data and one of which contains a relatively large amount of infrequently
 accessed data".  :func:`segment_report` makes that layout visible for
 any page store: pages, bytes, records and fill factor per segment, so
 examples and the E5 artefact can *show* the hot/cold split instead of
-asserting it.
+asserting it.  :func:`stats_report` renders one counter snapshot with
+its registered gauges (the served smoke run's summary); like every
+metric view it takes its names from ``StorageStats`` and
+:mod:`repro.obs.registry` rather than listing them.
 """
 
 from __future__ import annotations
@@ -88,11 +91,10 @@ def stats_report(
 ) -> str:
     """Counters plus derived gauges, one compact table.
 
-    Data-driven on purpose: the gauge *names* come from the caller
-    (usually :func:`repro.obs.registry.gauges_from`), so this renderer
-    never hard-codes a registered metric — the one-render-path rule
-    (LF07) points at :mod:`repro.obs.render`, not here.  Zero counters
-    are elided; gauges always show.
+    Data-driven: counter and gauge names come from the caller (a
+    ``StorageStats.snapshot()`` and
+    :func:`repro.obs.registry.gauges_from`), so this renderer names no
+    metric of its own.  Zero counters are elided; gauges always show.
     """
     rows: list[list[object]] = [
         [name, str(count)] for name, count in counters.items() if count

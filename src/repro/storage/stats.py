@@ -4,126 +4,89 @@ The benchmark harness reads these to fill the paper's resource table:
 ``major_faults`` stands in for the paper's ``majflt`` column (see
 ``repro.util.timing`` for why), and the remaining counters feed the
 locality and ablation experiments (E5, A2).
+
+:class:`StorageStats` is the one declaration of every counter.  Each
+field names its owning layer (one of :data:`LAYERS`, the layer names the
+benchmark's per-layer report uses) in its field metadata; renderers and
+baselines are generated from the fields.  The class has ``__slots__``,
+so bumping a counter that is not declared here raises
+``AttributeError`` instead of growing a silent attribute.  Derived
+gauges (ratios of these counters) live in :mod:`repro.obs.registry`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+#: Owning layers, bottom of the stack first (the render order).
+LAYERS: tuple[str, ...] = (
+    "disk", "buffer", "objcache", "codec", "storage", "locks", "server",
+)
 
 
-@dataclass
+def _counter(layer: str) -> int:
+    """A zero-initialised counter owned by ``layer``."""
+    if layer not in LAYERS:
+        raise ValueError(f"unknown counter layer {layer!r}")
+    return field(default=0, metadata={"layer": layer})
+
+
+@dataclass(slots=True)
 class StorageStats:
     """Mutable counter block attached to a storage manager."""
 
-    page_reads: int = 0          # pages brought into the buffer pool from disk
-    page_writes: int = 0         # pages written back to disk
-    major_faults: int = 0        # buffer-pool misses (the simulated majflt)
-    buffer_hits: int = 0         # buffer-pool hits
-    objects_read: int = 0
-    objects_written: int = 0
-    objects_deleted: int = 0
-    bytes_read: int = 0          # serialized record bytes deserialized
-    bytes_written: int = 0       # serialized record bytes written
-    swizzle_operations: int = 0  # Texas: pointer slots swizzled at fault time
-    lock_acquisitions: int = 0   # ObjectStore: page-lock grants
-    lock_waits: int = 0          # ObjectStore: lock conflicts observed
-    lock_upgrades: int = 0       # ObjectStore: SHARED -> EXCLUSIVE promotions
-    commits: int = 0
-    aborts: int = 0
-    cache_hits: int = 0          # object-cache: reads served in memory
-    cache_misses: int = 0        # object-cache: reads that hit the SM
-    cache_coalesced: int = 0     # object-cache: writes absorbed pre-commit
-    cache_evictions: int = 0     # object-cache: LRU evictions of clean objects
-    pages_prefetched: int = 0    # read-ahead: pages staged by vectored reads
-    prefetch_hits: int = 0       # read-ahead: faults absorbed by staged pages
-    io_batches: int = 0          # vectored disk transfers (>= 2 pages each)
-    mapped_reads: int = 0        # mmap backend: demand reads served zero-copy
-    records_fast_path: int = 0   # codec: records encoded via a fixed layout
-    records_fallback: int = 0    # codec: records encoded via the pickle fallback
-    intern_table_size: int = 0   # codec: attribute names in the intern table
-    meta_bytes_written: int = 0  # checkpoint blob bytes physically written
-    group_commits: int = 0       # server: storage commits closing a group
-    sessions_per_group: int = 0  # server: session-units fused into those groups
-    commit_stalls: int = 0       # server: groups forced closed by a lock conflict
+    page_reads: int = _counter("disk")  # pages read into the buffer pool
+    page_writes: int = _counter("disk")  # pages written back to disk
+    major_faults: int = _counter("buffer")  # pool misses (the simulated majflt)
+    buffer_hits: int = _counter("buffer")
+    objects_read: int = _counter("storage")
+    objects_written: int = _counter("storage")
+    objects_deleted: int = _counter("storage")
+    bytes_read: int = _counter("storage")  # record bytes deserialized
+    bytes_written: int = _counter("storage")  # record bytes written
+    swizzle_operations: int = _counter("storage")  # Texas: slots swizzled
+    lock_acquisitions: int = _counter("locks")  # page-lock grants
+    lock_waits: int = _counter("locks")  # lock conflicts observed
+    lock_upgrades: int = _counter("locks")  # SHARED -> EXCLUSIVE promotions
+    commits: int = _counter("storage")
+    aborts: int = _counter("storage")
+    cache_hits: int = _counter("objcache")  # reads served in memory
+    cache_misses: int = _counter("objcache")  # reads that hit the SM
+    cache_coalesced: int = _counter("objcache")  # writes absorbed pre-commit
+    cache_evictions: int = _counter("objcache")  # LRU evictions (clean objects)
+    pages_prefetched: int = _counter("buffer")  # staged by vectored reads
+    prefetch_hits: int = _counter("buffer")  # faults absorbed by staged pages
+    io_batches: int = _counter("disk")  # vectored transfers (>= 2 pages each)
+    mapped_reads: int = _counter("disk")  # mmap demand reads served zero-copy
+    records_fast_path: int = _counter("codec")  # encoded via a fixed layout
+    records_fallback: int = _counter("codec")  # encoded via the pickle fallback
+    intern_table_size: int = _counter("codec")  # names in the intern table
+    meta_bytes_written: int = _counter("disk")  # checkpoint bytes written
+    group_commits: int = _counter("server")  # storage commits closing a group
+    sessions_per_group: int = _counter("server")  # units fused into groups
+    commit_stalls: int = _counter("server")  # groups closed by a lock conflict
 
     def reset(self) -> None:
         """Zero every counter (used between benchmark intervals)."""
-        for name in self.__dataclass_fields__:
+        for name in STAT_FIELDS:
             setattr(self, name, 0)
 
     def snapshot(self) -> dict[str, int]:
         """An immutable copy of the counters as a plain dict."""
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+        return {name: getattr(self, name) for name in STAT_FIELDS}
 
     def delta(self, earlier: dict[str, int]) -> dict[str, int]:
         """Counter increments since an earlier :meth:`snapshot`."""
         return {
             name: getattr(self, name) - earlier.get(name, 0)
-            for name in self.__dataclass_fields__
+            for name in STAT_FIELDS
         }
 
-    @property
-    def hit_ratio(self) -> float:
-        """Buffer-pool hit ratio in [0, 1]; 1.0 when no accesses occurred."""
-        accesses = self.buffer_hits + self.major_faults
-        if accesses == 0:
-            return 1.0
-        return self.buffer_hits / accesses
 
-    @property
-    def cache_hit_ratio(self) -> float:
-        """Object-cache hit ratio in [0, 1]; 1.0 when no reads occurred."""
-        accesses = self.cache_hits + self.cache_misses
-        if accesses == 0:
-            return 1.0
-        return self.cache_hits / accesses
+#: Every counter name, in declaration order (the ``snapshot()`` keys).
+STAT_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(StorageStats))
 
-    @property
-    def prefetch_absorption(self) -> float:
-        """Faults absorbed by read-ahead, over absorbed + still-missed."""
-        staged_or_missed = self.prefetch_hits + self.major_faults
-        if staged_or_missed == 0:
-            return 0.0
-        return self.prefetch_hits / staged_or_missed
-
-    @property
-    def coalesce_ratio(self) -> float:
-        """Object writes absorbed pre-commit, over absorbed + drained."""
-        writes = self.cache_coalesced + self.objects_written
-        if writes == 0:
-            return 0.0
-        return self.cache_coalesced / writes
-
-    @property
-    def fast_path_ratio(self) -> float:
-        """Records encoded via a fixed layout, over all records encoded."""
-        encoded = self.records_fast_path + self.records_fallback
-        if encoded == 0:
-            return 0.0
-        return self.records_fast_path / encoded
-
-    @property
-    def mapped_read_ratio(self) -> float:
-        """Demand reads served zero-copy from the map, per page read."""
-        if self.page_reads == 0:
-            return 0.0
-        return self.mapped_reads / self.page_reads
-
-    @property
-    def group_width(self) -> float:
-        """Mean session-units fused per group commit; 0.0 unserved."""
-        if self.group_commits == 0:
-            return 0.0
-        return self.sessions_per_group / self.group_commits
-
-    @property
-    def commit_stall_ratio(self) -> float:
-        """Groups forced closed by a lock conflict, per group commit."""
-        if self.group_commits == 0:
-            return 0.0
-        return self.commit_stalls / self.group_commits
-
-
-# Field list is part of the public contract: tests assert that no counter
-# is silently dropped when the harness renders extended reports.
-STAT_FIELDS: tuple[str, ...] = tuple(StorageStats.__dataclass_fields__)
+#: Each counter's owning layer, from its field metadata.
+STAT_LAYERS: dict[str, str] = {
+    f.name: f.metadata["layer"] for f in fields(StorageStats)
+}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -31,25 +31,16 @@ class ResourceUsage:
     sys_cpu_sec: float
     majflt: int
     size_bytes: int
-    # Object-cache counters (PR 3).  Not part of the paper's five-resource
-    # table — ``as_rows`` is unchanged — but metered per interval so the
-    # A4 ablation can report hit rates alongside wall-clock time.
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_coalesced: int = 0
 
     def __add__(self, other: "ResourceUsage") -> "ResourceUsage":
-        """Accumulate two intervals (size is *latest*, not summed)."""
-        return ResourceUsage(
-            elapsed_sec=self.elapsed_sec + other.elapsed_sec,
-            user_cpu_sec=self.user_cpu_sec + other.user_cpu_sec,
-            sys_cpu_sec=self.sys_cpu_sec + other.sys_cpu_sec,
-            majflt=self.majflt + other.majflt,
-            size_bytes=max(self.size_bytes, other.size_bytes),
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-            cache_coalesced=self.cache_coalesced + other.cache_coalesced,
-        )
+        """Accumulate two intervals: every field sums, except the size,
+        which is the latest (the larger) one."""
+        merged = {
+            f.name: getattr(self, f.name) + getattr(other, f.name)
+            for f in fields(self)
+        }
+        merged["size_bytes"] = max(self.size_bytes, other.size_bytes)
+        return ResourceUsage(**merged)
 
     def as_rows(self) -> list[tuple[str, str]]:
         """Render as (resource, value) rows matching the paper's table."""
@@ -61,23 +52,6 @@ class ResourceUsage:
             ("size (bytes)", f"{self.size_bytes:,}" if self.size_bytes else "-"),
         ]
 
-    @property
-    def cache_hit_ratio(self) -> float:
-        """Object-cache hit ratio in [0, 1]; 1.0 when no reads occurred."""
-        accesses = self.cache_hits + self.cache_misses
-        if accesses == 0:
-            return 1.0
-        return self.cache_hits / accesses
-
-    def cache_rows(self) -> list[tuple[str, str]]:
-        """Extra (resource, value) rows for cache-aware reports."""
-        return [
-            ("cache hits", f"{self.cache_hits:,}"),
-            ("cache misses", f"{self.cache_misses:,}"),
-            ("writes coalesced", f"{self.cache_coalesced:,}"),
-            ("cache hit ratio", f"{self.cache_hit_ratio:.3f}"),
-        ]
-
 
 @dataclass
 class _Snapshot:
@@ -85,9 +59,6 @@ class _Snapshot:
     user: float
     sys: float
     faults: int
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_coalesced: int = 0
 
 
 class ResourceMeter:
@@ -117,11 +88,6 @@ class ResourceMeter:
             return 0
         return int(getattr(self._fault_source, "major_faults", 0))
 
-    def _read_counter(self, name: str) -> int:
-        if self._fault_source is None:
-            return 0
-        return int(getattr(self._fault_source, name, 0))
-
     def _snapshot(self) -> _Snapshot:
         times = os.times()
         return _Snapshot(
@@ -129,9 +95,6 @@ class ResourceMeter:
             user=times.user,
             sys=times.system,
             faults=self._read_faults(),
-            cache_hits=self._read_counter("cache_hits"),
-            cache_misses=self._read_counter("cache_misses"),
-            cache_coalesced=self._read_counter("cache_coalesced"),
         )
 
     def start(self) -> None:
@@ -150,9 +113,6 @@ class ResourceMeter:
             sys_cpu_sec=now.sys - self._last.sys,
             majflt=now.faults - self._last.faults,
             size_bytes=size_bytes,
-            cache_hits=now.cache_hits - self._last.cache_hits,
-            cache_misses=now.cache_misses - self._last.cache_misses,
-            cache_coalesced=now.cache_coalesced - self._last.cache_coalesced,
         )
         self.intervals.append(usage)
         self._last = now

@@ -14,6 +14,8 @@ from repro.benchmark import (
 )
 from repro.benchmark.harness import RunResult
 from repro.errors import UnknownBackendError
+from repro.obs.registry import METRIC_NAMES
+from repro.storage.stats import STAT_FIELDS
 from repro.storage.registry import backend_names
 
 
@@ -101,6 +103,12 @@ def test_render_run_and_stats_and_workload(comparison):
     assert "major_faults" in stats and "swizzle_operations" in stats
     workload = render_workload(run)
     assert "U1" in workload and "txns" in workload
+
+
+def test_render_stats_shows_every_counter_and_gauge(comparison):
+    cells = set(render_stats(comparison).split())
+    for name in (*STAT_FIELDS, *METRIC_NAMES):
+        assert name in cells, name
 
 
 def test_run_server_keep_db_returns_open_database(tmp_path):

@@ -1,12 +1,14 @@
 """Tests for the observability layer (repro.obs).
 
-Covers the metric registry against the StorageStats gauge properties,
-snapshot/delta/reset under an attached object cache, byte-identical
-sampler and tracer JSONL under an injected clock (including a
-hypothesis replay property), the served ``sample`` op and the live
-monitor over a real socket, the zero-overhead guarantee (sampling
-on/off produces bit-identical databases and identical answers), and the
-baseline record/compare pipeline the CI regression gate runs.
+Covers the metric registry and the tables generated from it (strict
+gauges, baseline schemas, the sample table's columns), the counter
+block's declared-only fields, snapshot/delta/reset under an attached
+object cache, byte-identical sampler and tracer JSONL under an
+injected clock (including a hypothesis replay property), the served
+``sample`` op and the live monitor over a real socket, the
+zero-overhead guarantee (sampling on/off produces bit-identical
+databases and identical answers), and the baseline record/compare
+pipeline the CI regression gate runs.
 """
 
 import filecmp
@@ -22,6 +24,7 @@ from repro.errors import ServerError
 from repro.labbase import LabBase
 from repro.obs import (
     DERIVED_METRICS,
+    METRIC_NAMES,
     IntervalSampler,
     ManualClock,
     UnitTracer,
@@ -41,6 +44,9 @@ from repro.server import (
 )
 from repro.storage import ObjectStoreSM
 from repro.storage.stats import STAT_FIELDS, StorageStats
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RESULTS = os.path.join(REPO, "benchmarks", "results")
 
 # -- clock ------------------------------------------------------------------
 
@@ -74,26 +80,26 @@ def test_metric_lookup():
 
 
 def test_gauges_default_on_zero_denominator():
-    gauges = gauges_from({})
+    gauges = gauges_from(StorageStats().snapshot())
     for spec in DERIVED_METRICS:
         assert gauges[spec.name] == spec.default
 
 
-def test_gauge_properties_match_registry():
+def test_gauge_over_missing_counter_raises():
+    """A counter the block does not carry is an error, never a 0.0."""
+    with pytest.raises(KeyError, match="group_width"):
+        metric("group_width").compute({"group_commits": 4})
+    with pytest.raises(KeyError):
+        gauges_from({})
+
+
+def test_undeclared_counter_raises():
     stats = StorageStats()
-    stats.buffer_hits = 30
-    stats.major_faults = 10
-    stats.prefetch_hits = 5
-    stats.cache_hits = 8
-    stats.cache_misses = 2
-    stats.cache_coalesced = 4
-    stats.objects_written = 12
-    stats.group_commits = 3
-    stats.sessions_per_group = 9
-    stats.commit_stalls = 1
-    snapshot = stats.snapshot()
-    for spec in DERIVED_METRICS:
-        assert getattr(stats, spec.name) == pytest.approx(spec.compute(snapshot))
+    with pytest.raises(AttributeError):
+        stats.phantom_ops += 1
+    with pytest.raises(AttributeError):
+        stats.phantom_ops = 1  # no silent new attribute either
+    assert "phantom_ops" not in stats.snapshot()
 
 
 # -- StorageStats under an attached object cache ----------------------------
@@ -130,10 +136,15 @@ def _scripted_source(frames):
     return lambda: next(iterator)
 
 
+def _frame(**counters):
+    """A full counter snapshot: zeros, overridden by ``counters``."""
+    return {**StorageStats().snapshot(), **counters}
+
+
 _FRAMES = [
-    {"buffer_hits": 0, "major_faults": 0, "group_commits": 0},
-    {"buffer_hits": 40, "major_faults": 10, "group_commits": 2},
-    {"buffer_hits": 90, "major_faults": 10, "group_commits": 5},
+    _frame(buffer_hits=0, major_faults=0, group_commits=0),
+    _frame(buffer_hits=40, major_faults=10, group_commits=2),
+    _frame(buffer_hits=90, major_faults=10, group_commits=5),
 ]
 
 
@@ -187,7 +198,7 @@ def test_sampler_replay_property(increments):
     totals = {"buffer_hits": 0, "major_faults": 0, "group_commits": 0}
     for step in increments:
         totals = {name: totals[name] + step[name] for name in totals}
-        frames.append(dict(totals))
+        frames.append(_frame(**totals))
     first, samples = _sampled_jsonl(frames)
     second, _ = _sampled_jsonl(frames)
     assert first == second  # byte-identical under the injected clock
@@ -372,7 +383,7 @@ def test_monitor_streams_samples_over_socket(served):
     text = out.getvalue()
     header = render_sample_table([]).splitlines()[0]
     assert header in text
-    assert "group_width" in header and "commit_stall_ratio" in header
+    assert set(METRIC_NAMES) <= set(header.split())  # a column per gauge
     assert "unit phase durations (server-side)" in text
     # streamed rows align with the header printed up front
     rows = [line for line in text.splitlines() if line.startswith("   ")]
@@ -450,10 +461,28 @@ def test_compare_flags_missing_counters(tmp_path):
     bl.dump_json(bl.results_path("A4", results), _A4_PAYLOAD)
     baseline_file = bl.record("A4", results, str(tmp_path))
     shrunk = json.loads(json.dumps(_A4_PAYLOAD))
-    del shrunk["on"]["cache_coalesced"]
+    del shrunk["off"]["cache_misses"]  # a counter no gauge reads
     bl.dump_json(bl.results_path("A4", results), shrunk)
     drifts, _notes = bl.compare_files(baseline_file, results)
     assert any(drift.kind == "missing" for drift in drifts)
+
+
+def test_canonicalize_raises_on_a_gauge_without_its_counters():
+    """A6's group_width used to be computed from a counter its block
+    lacked and recorded as a vacuous 0.0."""
+    payload = bl.load_json(bl.results_path("A6", RESULTS))
+    del payload["s4_on"]["sessions_per_group"]
+    with pytest.raises(KeyError, match="sessions_per_group"):
+        bl.canonicalize("A6", payload)
+
+
+@pytest.mark.parametrize("schema", sorted(bl.BASELINE_SCHEMAS))
+def test_committed_results_carry_every_gauge_counter(schema):
+    payload = bl.load_json(bl.results_path(schema, RESULTS))
+    block = bl.representative_counters(schema, payload)
+    for spec in DERIVED_METRICS:
+        if spec.baseline == schema:
+            assert set(spec.counters) <= set(block), spec.name
 
 
 def test_render_drift_table_empty_case():
@@ -462,9 +491,8 @@ def test_render_drift_table_empty_case():
 
 def test_committed_baselines_are_canonical():
     """The checked-in BENCH files parse and carry their declared shape."""
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     for schema in sorted(bl.BASELINE_SCHEMAS):
-        path = bl.baseline_path(schema, repo)
+        path = bl.baseline_path(schema, REPO)
         assert os.path.exists(path), f"missing committed baseline {path}"
         payload = bl.load_json(path)
         assert payload["version"] == bl.BASELINE_VERSION
@@ -507,6 +535,22 @@ def test_cli_bench_compare_exit_codes(tmp_path):
         == 1
     )
     assert json.load(open(report))["ok"] is False
+
+
+def test_cli_bench_compare_rejects_a_gauge_without_its_counters(tmp_path):
+    from repro.cli import main
+
+    results = os.path.join(str(tmp_path), "results")
+    os.makedirs(results)
+    bl.dump_json(bl.results_path("A4", results), _A4_PAYLOAD)
+    baseline_file = bl.record("A4", results, str(tmp_path))
+    shrunk = json.loads(json.dumps(_A4_PAYLOAD))
+    del shrunk["on"]["cache_coalesced"]  # coalesce_ratio's numerator
+    bl.dump_json(bl.results_path("A4", results), shrunk)
+    assert main(["bench", "compare", "--baseline", baseline_file,
+                 "--results", results]) == 2
+    assert main(["bench", "record", "--schemas", "A4", "--results", results,
+                 "--out", str(tmp_path)]) == 2
 
 
 def test_cli_bench_record_missing_results(tmp_path):

@@ -1,5 +1,7 @@
 """Unit tests for the resource meter."""
 
+import dataclasses
+
 import pytest
 
 from repro.util.timing import ResourceMeter, ResourceUsage
@@ -83,3 +85,16 @@ def test_meter_without_fault_source_reads_zero():
     meter = ResourceMeter()
     meter.start()
     assert meter.lap().majflt == 0
+
+
+def test_usage_addition_covers_every_field():
+    """``__add__`` is total: a field it dropped would read 0 here."""
+    names = [f.name for f in dataclasses.fields(ResourceUsage)]
+    a = ResourceUsage(**{name: index + 1 for index, name in enumerate(names)})
+    b = ResourceUsage(**{name: 10 * (index + 1) for index, name in enumerate(names)})
+    combined = a + b
+    for name in names:
+        if name == "size_bytes":
+            assert combined.size_bytes == b.size_bytes  # latest/max, not summed
+        else:
+            assert getattr(combined, name) == getattr(a, name) + getattr(b, name)
